@@ -22,10 +22,8 @@ from .citest import (
     oracle_ci,
 )
 from .dataset import (
-    ContingencyTable,
     Dataset,
     VariableSchema,
-    build_table,
     cap_levels,
     filter_dominant,
     load_csv,

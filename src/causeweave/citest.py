@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .dataset import Dataset
+from .dataset import Dataset, joint_codes
 from .errors import (
     DegenerateTable,
     MixedBackendUnsupported,
@@ -47,9 +47,6 @@ BACKEND_INJECTED = "injected"
 # Conditioning-set size cap used as the default throughout the package.
 DEFAULT_MAX_COND = 3
 DEFAULT_ALPHA = 0.05
-
-# Bins used when a continuous variable enters a query with discrete ones.
-QUINTILE_BINS = 5
 
 
 def canonical_key(x: str, y: str, s=()) -> QueryKey:
@@ -110,52 +107,29 @@ class CICache:
         self._store[key] = result
 
 
-def quantile_bin(col: np.ndarray, bins: int = QUINTILE_BINS) -> tuple[np.ndarray, int]:
-    """Discretize a continuous column into (at most) ``bins`` quantile bins.
-
-    Duplicate quantile edges collapse, so the realized level count can be
-    smaller than requested; it is returned alongside the codes.
-    """
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(col, qs))
-    return np.searchsorted(edges, col, side="right"), len(edges) + 1
-
-
 class GTestBackend:
     """Conditional mutual-information test on discrete (or binned) columns."""
 
     name = BACKEND_GTEST
 
-    def __init__(self, data: Dataset, bins: int = QUINTILE_BINS):
+    def __init__(self, data: Dataset):
         self.data = data
-        self.bins = bins
-        self._encoded: dict[str, tuple[np.ndarray, int]] = {}
+        self._codes: dict[str, tuple[np.ndarray, int]] = {}
 
     def _column(self, name: str) -> tuple[np.ndarray, int]:
-        """Level-encoded column and its level count; continuous gets binned."""
-        got = self._encoded.get(name)
-        if got is not None:
-            return got
-        var = self.data.variable(name)
-        if var.is_discrete:
-            enc = (self.data.columns[name], len(var.levels))
-        else:
-            enc = quantile_bin(self.data.columns[name], self.bins)
-        self._encoded[name] = enc
-        return enc
+        """``data.codes(name)``, memoized: binning a column is not free."""
+        got = self._codes.get(name)
+        if got is None:
+            got = self._codes[name] = self.data.codes(name)
+        return got
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         if self.data.n == 0:
             raise DegenerateTable("cannot test on an empty dataset")
-        (cx, nx), (cy, ny) = self._column(x), self._column(y)
-        strata = np.zeros(self.data.n, dtype=np.int64)
-        n_strata = 1
-        for name in s:
-            cs, ns = self._column(name)
-            strata = strata * ns + cs
-            n_strata *= ns
-        flat = (cx * ny + cy) * n_strata + strata
-        counts = np.bincount(flat, minlength=nx * ny * n_strata).reshape(nx, ny, n_strata)
+        columns = [self._column(v) for v in (x, y, *s)]
+        flat, n_cells = joint_codes(columns, self.data.n)
+        nx, ny = columns[0][1], columns[1][1]
+        counts = np.bincount(flat, minlength=n_cells).reshape(nx, ny, -1)
 
         per_stratum = counts.sum(axis=(0, 1))
         row = counts.sum(axis=1)[:, None, :]
@@ -226,9 +200,9 @@ class AutoBackend:
 
     name = "auto"
 
-    def __init__(self, data: Dataset, bins: int = QUINTILE_BINS):
+    def __init__(self, data: Dataset):
         self.data = data
-        self._gtest = GTestBackend(data, bins=bins)
+        self._gtest = GTestBackend(data)
         self._fisherz: FisherZBackend | None = None
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
@@ -454,12 +428,12 @@ class CIEngine:
             self._trace = previous
 
 
-def make_backend(data: Dataset, kind: str = "auto", bins: int = QUINTILE_BINS):
+def make_backend(data: Dataset, kind: str = "auto"):
     """Construct a data-driven backend by name."""
     if kind == "auto":
-        return AutoBackend(data, bins=bins)
+        return AutoBackend(data)
     if kind == BACKEND_GTEST:
-        return GTestBackend(data, bins=bins)
+        return GTestBackend(data)
     if kind == BACKEND_FISHERZ:
         return FisherZBackend(data)
     raise ValueError(f"unknown backend {kind!r}")

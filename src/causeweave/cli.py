@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,8 +27,6 @@ from .experiments import (
 from .pcstable import pc_stable
 from .score import bic_of_graph
 from .skeleton_orient import Cpdag, PriorKnowledge, cpdag_from_dot, learn_structure
-
-THREADS_ENV = "CAUSEWEAVE_THREADS"
 
 _INPUT_ERRORS = (
     errors.SchemaError,
@@ -77,21 +74,12 @@ class RunConfig:
             raise ValueError(f"unknown --algorithm {self.algorithm!r}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05, help="test size (default 0.05)")
     p.add_argument("--m-ci", type=int, default=3, dest="m_ci",
                    help="conditioning-set size cap (default 3)")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p.add_argument("--out", default=None, help="output path or path prefix")
     p.add_argument("--format", dest="fmt", choices=("json", "dot", "csv"), default=None)
 
@@ -335,7 +323,7 @@ def main(argv=None) -> int:
             alpha=args.alpha,
             m_ci=args.m_ci,
             seed=args.seed,
-            threads=args.threads if args.threads is not None else _default_threads(),
+            threads=args.threads,
             out=args.out,
             fmt=args.fmt,
         )

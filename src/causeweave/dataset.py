@@ -1,4 +1,4 @@
-"""Typed tabular data: schema-driven CSV ingestion and contingency tables.
+"""Typed tabular data: schema-driven CSV ingestion and column encoding.
 
 Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ContinuousVariableInTable,
     MissingColumn,
     RowLengthMismatch,
     SchemaError,
@@ -24,6 +23,9 @@ from .errors import (
 
 DISCRETE_KINDS = ("categorical", "ordinal")
 VALID_KINDS = DISCRETE_KINDS + ("continuous",)
+
+# Bins used when a continuous variable is encoded as levels.
+QUINTILE_BINS = 5
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,20 @@ class Dataset:
         self.variable(name)
         return self.columns[name]
 
-    def n_levels(self, name: str) -> int:
+    def codes(self, name: str) -> tuple[np.ndarray, int]:
+        """Level indices of a column and their level count.
+
+        A continuous column is cut at its quantiles into at most
+        ``QUINTILE_BINS`` bins; duplicate edges collapse, so ties can leave
+        fewer levels.
+        """
         var = self.variable(name)
-        if not var.is_discrete:
-            raise ContinuousVariableInTable(f"{name} is continuous")
-        return len(var.levels)
+        col = self.columns[name]
+        if var.is_discrete:
+            return col, len(var.levels)
+        qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
+        edges = np.unique(np.quantile(col, qs))
+        return np.searchsorted(edges, col, side="right"), len(edges) + 1
 
     def decode(self) -> dict[str, list]:
         """Map encoded columns back to raw cell values (labels / floats)."""
@@ -122,22 +133,6 @@ class Dataset:
             else:
                 out[var.name] = [float(v) for v in col]
         return out
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Dense joint counts over (x, y, s1, ..., sd) with per-axis level counts."""
-
-    dims: tuple[int, ...]
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.counts.shape != self.dims:
-            raise ValueError("counts shape does not match dims")
-        if len(self.counts) and self.counts.min() < 0:
-            raise ValueError("negative cell count")
-        self.counts.setflags(write=False)
 
 
 def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
@@ -190,6 +185,12 @@ def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -
                     raise UnknownLevel(
                         f"{var.name}: value {cell!r} (row {i + 1}) is not numeric"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(enc))
+            if bad.size:
+                i = int(bad[0])
+                raise UnknownLevel(
+                    f"{var.name}: value {cells[i]!r} (row {i + 1}) is not finite"
+                )
         columns[var.name] = enc
     return Dataset(schema=schema, columns=columns, n=n or 0)
 
@@ -199,8 +200,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
 
     Every schema variable must appear in the header (extra CSV columns are
     ignored).  Discrete cells are mapped to level indices in schema order;
-    there is no imputation, so missingness must be declared as an explicit
-    level upstream.
+    continuous cells must be finite numbers.  There is no imputation, so
+    missingness must be declared as an explicit level upstream.
 
     Raises
     ------
@@ -301,22 +302,15 @@ def cap_levels(data: Dataset, coverage: float = 0.95, other_label: str = "Others
     return Dataset(schema=tuple(new_schema), columns=new_columns, n=data.n)
 
 
-def build_table(
-    data: Dataset, x: str, y: str, s: tuple[str, ...] | list[str] = ()
-) -> ContingencyTable:
-    """Joint counts of (x, y, s...) over all rows.
+def joint_codes(columns: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """Row-major joint cell index over ``(codes, n_levels)`` pairs.
 
-    All variables must be discrete and distinct; the table axes follow the
-    argument order with ``s`` in the order given.
+    The first column varies slowest.  ``n`` is the row count, needed when
+    ``columns`` is empty (every row then falls in the single cell 0).
     """
-    s = tuple(s)
-    if x == y or x in s or y in s or len(set(s)) != len(s):
-        raise ValueError(f"table variables must be distinct: x={x!r} y={y!r} s={s!r}")
-    names = (x, y) + s
-    for name in names:
-        if not data.is_discrete(name):
-            raise ContinuousVariableInTable(f"{name} is continuous")
-    dims = tuple(data.n_levels(name) for name in names)
-    flat = np.ravel_multi_index(tuple(data.columns[name] for name in names), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims)))
-    return ContingencyTable(dims=dims, counts=counts.reshape(dims), total=data.n)
+    flat = np.zeros(n, dtype=np.int64)
+    n_cells = 1
+    for codes, levels in columns:
+        flat = flat * levels + codes
+        n_cells *= levels
+    return flat, n_cells

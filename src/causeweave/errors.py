@@ -21,10 +21,6 @@ class MissingColumn(CauseweaveError):
     """A schema variable has no matching CSV column."""
 
 
-class ContinuousVariableInTable(CauseweaveError):
-    """A contingency table was requested over a continuous variable."""
-
-
 class DegenerateTable(CauseweaveError):
     """A contingency-table query cannot produce a meaningful statistic."""
 

@@ -31,15 +31,9 @@ DEFAULT_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """One candidate neighborhood: members in enumeration order.
-
-    ``satisfied_eq1`` records whether every growth step of the set was
-    settled by direct testing; sets larger than the conditioning cap plus
-    one rely on the intersection approximation instead.
-    """
+    """One candidate neighborhood: members in enumeration order."""
 
     members: tuple[str, ...]
-    satisfied_eq1: bool = True
 
     def __len__(self) -> int:
         return len(self.members)
@@ -173,11 +167,7 @@ class ForwardSearch:
                     terminal.append(s)
             level = next_level
         family = [
-            CandidateSet(
-                members=tuple(self._sorted(s)),
-                satisfied_eq1=len(s) <= self.m_ci + 1,
-            )
-            for s in _maximal(terminal)
+            CandidateSet(members=tuple(self._sorted(s))) for s in _maximal(terminal)
         ]
         family.sort(key=lambda c: (len(c.members), tuple(self.rank[v] for v in c.members)))
         return NeighborhoodFamily(

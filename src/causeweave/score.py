@@ -5,7 +5,8 @@ given its parents.  Each local term is reported relative to the
 intercept-only null model, so every per-vertex contribution is
 non-negative and the empty graph scores exactly zero.  Discrete vertices
 get the saturated per-parent-configuration multinomial maximum likelihood
-(which is the categorical GLM fit in closed form); continuous vertices get
+(which is the categorical GLM fit in closed form, with continuous parents
+binned by ``Dataset.codes``); continuous vertices get
 ordinary least squares on their parent encodings.  The criterion is
 ``-2 * loglik_star + df * log(n)``: lower is better.
 """
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .citest import QUINTILE_BINS, quantile_bin
-from .dataset import Dataset
+from .dataset import Dataset, joint_codes
 from .skeleton_orient import Cpdag, orient
 
 # Relative floor on residual variance; keeps perfect fits finite.
@@ -58,30 +58,11 @@ class FitReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
-def _parent_configs(data: Dataset, parents: list[str]) -> tuple[np.ndarray, int]:
-    """Joint configuration index over the parent columns.
-
-    Discrete parents use their level codes; continuous parents are
-    quantile-binned so a configuration is always a finite cell.
-    """
-    codes = np.zeros(data.n, dtype=np.int64)
-    n_configs = 1
-    for p in parents:
-        if data.is_discrete(p):
-            pc, nl = data.columns[p], data.n_levels(p)
-        else:
-            pc, nl = quantile_bin(data.columns[p], QUINTILE_BINS)
-        codes = codes * nl + pc
-        n_configs *= nl
-    return codes, n_configs
-
-
 def _fit_discrete(data: Dataset, x: str, parents: list[str]) -> LocalFit:
-    levels = data.n_levels(x)
-    xcol = data.columns[x]
-    configs, n_configs = _parent_configs(data, parents)
-    counts = np.bincount(configs * levels + xcol, minlength=n_configs * levels)
-    counts = counts.reshape(n_configs, levels).astype(np.float64)
+    columns = [data.codes(v) for v in parents + [x]]
+    levels = columns[-1][1]
+    flat, n_cells = joint_codes(columns, data.n)
+    counts = np.bincount(flat, minlength=n_cells).reshape(-1, levels).astype(np.float64)
 
     config_totals = counts.sum(axis=1)
     mask = counts > 0
@@ -106,7 +87,7 @@ def _fit_continuous(data: Dataset, x: str, parents: list[str]) -> LocalFit:
     blocks = [np.ones((data.n, 1))]
     for p in parents:
         if data.is_discrete(p):
-            codes, nl = data.columns[p], data.n_levels(p)
+            codes, nl = data.codes(p)
             dummies = np.zeros((data.n, nl - 1))
             for lvl in range(1, nl):
                 dummies[:, lvl - 1] = codes == lvl

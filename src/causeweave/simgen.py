@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .citest import OracleGraph
-from .dataset import Dataset, VariableSchema
+from .dataset import Dataset, VariableSchema, joint_codes
 from .errors import VertexMismatch
 from .skeleton_orient import Cpdag, Pair, pair_key
 
@@ -126,10 +126,8 @@ class DiscreteNet:
         rng = np.random.default_rng(seed)
         columns: dict[str, np.ndarray] = {}
         for v in self.graph.topological_order:
-            parents = self.graph.parents(v)
-            config = np.zeros(n, dtype=np.int64)
-            for p in parents:
-                config = config * self.levels + columns[p]
+            parents = [(columns[p], self.levels) for p in self.graph.parents(v)]
+            config, _ = joint_codes(parents, n)
             cumulative = np.cumsum(self.cpts[v], axis=1)[config]
             draws = rng.random(n)
             columns[v] = np.minimum(

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from causeweave.cli import main
@@ -64,6 +65,26 @@ def test_learn_malformed_schema_exits_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(stderr)
     assert err["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_learn_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    # One bad cell in `a` of an a->b->c chain must stop the run, not drop a-b.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(2000)
+    b = a + rng.standard_normal(2000)
+    c = b + rng.standard_normal(2000)
+    rows = ["a,b,c"] + [",".join(map(repr, r)) for r in np.column_stack([a, b, c]).tolist()]
+    rows[100] = f"{cell}," + rows[100].split(",", 1)[1]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, "kind": "continuous"} for v in "abc"]))
+    code, stdout, stderr = run(capsys, "learn", "--data", str(data), "--schema", str(schema))
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)["error"]
+    assert err["type"] == "UnknownLevel"
+    assert err["message"] == f"a: value '{cell}' (row 100) is not finite"
 
 
 def test_learn_csv_gtest(tmp_path, capsys):
@@ -198,12 +219,3 @@ def test_export_unknown_vertex_exits_2(tmp_path, capsys, example1_file):
     )
     assert code == 2
     assert json.loads(stderr)["error"]["type"] == "UnknownVertex"
-
-
-def test_env_var_thread_fallback(tmp_path, capsys, example1_file, monkeypatch):
-    monkeypatch.setenv("CAUSEWEAVE_THREADS", "2")
-    code, stdout, _ = run(
-        capsys, "learn", "--data", example1_file, "--backend", "injected"
-    )
-    assert code == 0
-    assert json.loads(stdout)["ne"] == 2

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causeweave import build_table, cap_levels, filter_dominant, load_csv
-from causeweave.dataset import VariableSchema, from_raw
+from causeweave import cap_levels, filter_dominant, load_csv
+from causeweave.dataset import VariableSchema, from_raw, joint_codes
 from causeweave.errors import (
-    ContinuousVariableInTable,
     MissingColumn,
     RowLengthMismatch,
     SchemaError,
@@ -63,6 +62,13 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_non_numeric_continuous(tmp_path):
     paths = write_inputs(tmp_path, ["yes,low,oops"])
     with pytest.raises(UnknownLevel, match="not numeric"):
+        load_csv(*paths)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+def test_load_csv_non_finite_continuous(tmp_path, cell):
+    paths = write_inputs(tmp_path, ["yes,low,1.0", f"no,mid,{cell}"])
+    with pytest.raises(UnknownLevel, match=r"c: value .* \(row 2\) is not finite"):
         load_csv(*paths)
 
 
@@ -143,23 +149,11 @@ def test_build_table_all_cells():
         ),
         {"a": ["0", "0", "1", "1"], "b": ["0", "1", "0", "1"]},
     )
-    table = build_table(data, "a", "b")
-    assert table.total == 4
-    assert table.counts.tolist() == [[1, 1], [1, 1]]
-
-
-def test_build_table_rejects_bad_queries():
-    data = from_raw(
-        (
-            VariableSchema("a", "categorical", ("0", "1")),
-            VariableSchema("c", "continuous"),
-        ),
-        {"a": ["0", "1"], "c": [0.1, 0.2]},
-    )
-    with pytest.raises(ValueError):
-        build_table(data, "a", "a")
-    with pytest.raises(ContinuousVariableInTable):
-        build_table(data, "a", "c")
+    flat, n_cells = joint_codes([data.codes("a"), data.codes("b")], data.n)
+    assert n_cells == 4
+    assert np.bincount(flat, minlength=n_cells).reshape(2, 2).tolist() == [[1, 1], [1, 1]]
+    flat, n_cells = joint_codes([], data.n)
+    assert n_cells == 1 and flat.tolist() == [0, 0, 0, 0]
 
 
 def test_build_table_matches_row_scan(rng):
@@ -167,22 +161,22 @@ def test_build_table_matches_row_scan(rng):
     schema = tuple(VariableSchema(n, "categorical", labels) for n in "abcd")
     raw = {n: [labels[i] for i in rng.integers(0, 3, size=50)] for n in "abcd"}
     data = from_raw(schema, raw)
-    table = build_table(data, "a", "b", ("c",))
+    flat, n_cells = joint_codes([data.codes(n) for n in "abc"], data.n)
+    counts = np.bincount(flat, minlength=n_cells).reshape(3, 3, 3)
     expected = count_rows(data, ["a", "b", "c"])
     for ia in range(3):
         for ib in range(3):
             for ic in range(3):
-                assert table.counts[ia, ib, ic] == expected.get((ia, ib, ic), 0)
+                assert counts[ia, ib, ic] == expected.get((ia, ib, ic), 0)
 
 
-def test_build_table_marginalizes_over_conditioning(rng):
-    labels = ("0", "1")
-    schema = tuple(VariableSchema(n, "categorical", labels) for n in "abc")
-    raw = {n: [labels[i] for i in rng.integers(0, 2, size=40)] for n in "abc"}
-    data = from_raw(schema, raw)
-    with_s = build_table(data, "a", "b", ("c",))
-    without = build_table(data, "a", "b")
-    assert np.array_equal(with_s.counts.sum(axis=2), without.counts)
+def test_codes_bins_continuous_with_ties():
+    # Tied quantile edges collapse: fewer than five bins, one of them empty.
+    cells = [2.5, -1.0, 2.5, 0.5, 2.5, -1.0, 0.5, 2.5, 7.0, 2.5]
+    data = from_raw((VariableSchema("c", "continuous"),), {"c": cells})
+    codes, n_levels = data.codes("c")
+    assert n_levels == 4
+    assert codes.tolist() == [3, 0, 3, 1, 3, 0, 1, 3, 3, 3]
 
 
 @st.composite

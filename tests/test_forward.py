@@ -35,7 +35,6 @@ def test_example1_extensions(example1_engine):
 def test_example1_family(example1_engine):
     fam = forward_step("X", VARS3, example1_engine, alpha=0.05)
     assert fam.member_sets() == (frozenset({"Y"}), frozenset({"Z"}))
-    assert all(c.satisfied_eq1 for c in fam.family)
 
 
 def test_isolated_target_yields_empty_set_family():
