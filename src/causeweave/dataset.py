@@ -112,8 +112,8 @@ class Dataset:
         """Level indices of a column and their level count.
 
         A continuous column is cut at its quantiles into at most
-        ``QUINTILE_BINS`` bins; duplicate edges collapse, so ties can leave
-        fewer levels.
+        ``QUINTILE_BINS`` bins; tied edges collapse and a bin no row falls
+        in is no level, so ties can leave fewer levels.
         """
         var = self.variable(name)
         col = self.columns[name]
@@ -121,7 +121,8 @@ class Dataset:
             return col, len(var.levels)
         qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
         edges = np.unique(np.quantile(col, qs))
-        return np.searchsorted(edges, col, side="right"), len(edges) + 1
+        bins, codes = np.unique(np.searchsorted(edges, col, side="right"), return_inverse=True)
+        return codes, len(bins)
 
     def decode(self) -> dict[str, list]:
         """Map encoded columns back to raw cell values (labels / floats)."""
@@ -221,7 +222,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             except ValueError:
                 raise MissingColumn(f"CSV header lacks column {var.name!r}") from None
         raw: dict[str, list[str]] = {name: [] for name in col_pos}
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise RowLengthMismatch(
                     f"row {row_no}: {len(row)} cells, header has {len(header)}"

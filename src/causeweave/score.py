@@ -65,13 +65,9 @@ def _fit_discrete(data: Dataset, x: str, parents: list[str]) -> LocalFit:
     counts = np.bincount(flat, minlength=n_cells).reshape(-1, levels).astype(np.float64)
 
     config_totals = counts.sum(axis=1)
-    mask = counts > 0
-    fitted = float(
-        np.sum(
-            counts[mask]
-            * np.log(counts[mask] / np.broadcast_to(config_totals[:, None], counts.shape)[mask])
-        )
-    )
+    config, level = np.nonzero(counts)
+    observed = counts[config, level]
+    fitted = float(np.sum(observed * np.log(observed / config_totals[config])))
     marg = counts.sum(axis=0)
     nz = marg > 0
     null = float(np.sum(marg[nz] * np.log(marg[nz] / data.n)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from causeweave import CICache, CIEngine, ci_test, inject_results
 from causeweave.citest import (
@@ -13,6 +14,8 @@ from causeweave.citest import (
 )
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.errors import MixedBackendUnsupported, UninjectedQuery
+from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
+from causeweave.skeleton_orient import learn_structure
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import entropy_cmi
 
@@ -209,3 +212,85 @@ def test_empty_dataset_is_degenerate():
     data = binary_data({"a": [], "b": []})
     with pytest.raises(DegenerateTable):
         ci_test(data, "a", "b", backend="gtest")
+
+
+def test_gtest_dof_counts_non_empty_bins_of_tied_column():
+    # Tied quantile edges leave one of four bins empty: the continuous
+    # column has three levels, so dof = (3 - 1) * (2 - 1).
+    cells = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0] * 6
+    schema = (
+        VariableSchema("b", "categorical", ("0", "1")),
+        VariableSchema("c", "continuous"),
+    )
+    data = from_raw(schema, {"b": ["0", "1"] * 30, "c": cells})
+    assert data.codes("c")[1] == 3
+    assert ci_test(data, "c", "b", backend="gtest").dof == 2
+
+
+def reference_p_value(res) -> float:
+    """The p-value from the ``scipy.stats`` distributions, as a cross-check."""
+    if res.backend == "gtest":
+        return float(stats.chi2.sf(res.statistic, res.dof)) if res.dof > 0 else 1.0
+    return float(2.0 * stats.norm.sf(abs(res.statistic)))
+
+
+def assert_p_values_match_reference(engine, log):
+    assert log
+    for key in set(log):
+        res = engine.cache.lookup(key)
+        assert res.p_value.hex() == reference_p_value(res).hex(), key
+
+
+def test_gtest_p_values_match_chi2_sf_over_full_run():
+    # Criterion-6 setup: k=20 binary variables, n=500, m_ci=3.
+    net = make_discrete_net(20, 3, 2, seed=[77, 0])
+    data = net.sample(500, seed=[77, 1])
+    engine = CIEngine(GTestBackend(data))
+    with engine.trace() as log:
+        learn_structure(data.names, engine, alpha=0.05, m_ci=3)
+    assert_p_values_match_reference(engine, log)
+
+
+def test_fisherz_p_values_match_norm_sf_over_full_run():
+    data, _ = gen_linear_sem(LinearSemSpec(k=20, rho=0.1, theta=0.5, n=500, seed=[5, 0]))
+    engine = CIEngine(FisherZBackend(data))
+    with engine.trace() as log:
+        learn_structure(data.names, engine, alpha=0.01, m_ci=2)
+    assert_p_values_match_reference(engine, log)
+
+
+def test_p_values_match_reference_at_edges():
+    n = 2000
+    x = np.tile([1.0, 1.0, -1.0, -1.0], n // 4)
+    y = np.tile([1.0, -1.0, 1.0, -1.0], n // 4)
+    w = np.tile([1.0, -1.0, -1.0, 1.0], n // 4)  # orthogonal to x and y
+    cols = {
+        "x": x,
+        "y": y,  # z = 0
+        "up": x + 1.06 * w,  # z near +38, where 2 * sf(z) nears underflow
+        "down": -x + 1.06 * w,  # z near -38
+        "const": np.zeros(n),  # one bin: dof = 0
+    }
+    schema = tuple(VariableSchema(v, "continuous") for v in cols)
+    data = from_raw(schema, {v: list(c) for v, c in cols.items()})
+    z0 = ci_test(data, "x", "y", backend="fisherz")
+    up = ci_test(data, "x", "up", backend="fisherz")
+    down = ci_test(data, "x", "down", backend="fisherz")
+    flat = ci_test(data, "x", "const", backend="gtest")
+    same = ci_test(data, "x", "up", backend="gtest")
+    indep = ci_test(data, "x", "y", backend="gtest")
+    assert z0.statistic == 0.0
+    assert 35 < up.statistic < 40 and -40 < down.statistic < -35 and up.p_value > 0.0
+    assert flat.dof == 0 and flat.p_value == 1.0
+    assert indep.statistic == 0.0 and same.statistic > 2000 and same.p_value == 0.0
+    for res in (z0, up, down, flat, same, indep):
+        assert res.p_value.hex() == reference_p_value(res).hex()
+
+
+def test_special_matches_stats_at_edges():
+    for z in (0.0, -0.0, 40.0, -40.0):
+        assert (2.0 * special.ndtr(-abs(z))).hex() == (2.0 * stats.norm.sf(abs(z))).hex()
+    for dof in (1, 4, 96):
+        for statistic in (0.0, 3.84, 1e3, 1e6):
+            got = float(special.chdtrc(dof, statistic))
+            assert got.hex() == float(stats.chi2.sf(statistic, dof)).hex()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,3 +222,11 @@ def test_export_unknown_vertex_exits_2(tmp_path, capsys, example1_file):
     )
     assert code == 2
     assert json.loads(stderr)["error"]["type"] == "UnknownVertex"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and 50 MB at start-up; the CI tests
+    # need only scipy.special.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, causeweave.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

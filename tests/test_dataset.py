@@ -55,7 +55,7 @@ def test_load_csv_missing_column(tmp_path):
 
 def test_load_csv_ragged_row(tmp_path):
     paths = write_inputs(tmp_path, ["yes,low,1.0", "no,mid"])
-    with pytest.raises(RowLengthMismatch, match="row 3"):
+    with pytest.raises(RowLengthMismatch, match="row 2"):
         load_csv(*paths)
 
 
@@ -171,12 +171,13 @@ def test_build_table_matches_row_scan(rng):
 
 
 def test_codes_bins_continuous_with_ties():
-    # Tied quantile edges collapse: fewer than five bins, one of them empty.
+    # Tied quantile edges collapse to four bins, of which no row falls in
+    # the third: only the three non-empty bins are levels.
     cells = [2.5, -1.0, 2.5, 0.5, 2.5, -1.0, 0.5, 2.5, 7.0, 2.5]
     data = from_raw((VariableSchema("c", "continuous"),), {"c": cells})
     codes, n_levels = data.codes("c")
-    assert n_levels == 4
-    assert codes.tolist() == [3, 0, 3, 1, 3, 0, 1, 3, 3, 3]
+    assert n_levels == 3
+    assert codes.tolist() == [2, 0, 2, 1, 2, 0, 1, 2, 2, 2]
 
 
 @st.composite
