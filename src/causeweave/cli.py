@@ -1,7 +1,8 @@
 """Command-line front end: learn, simulate, score, export.
 
 Exit codes: 0 on success, 1 on a computational failure, 2 on a usage or
-input problem.  Failures print one machine-readable JSON object to stderr:
+input problem.  Failures other than argparse usage errors print one
+machine-readable JSON object to stderr:
 ``{"error": {"type": ..., "message": ...}}``.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import errors
@@ -42,46 +42,15 @@ _INPUT_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle for one command invocation."""
-
-    command: str
-    data: str | None = None
-    schema: str | None = None
-    alpha: float = 0.05
-    m_ci: int = 3
-    backend: str = "auto"
-    algorithm: str = PROPOSED
-    prior: str | None = None
-    seed: int = 0
-    reps: int = 100
-    threads: int = 1
-    out: str | None = None
-    fmt: str | None = None
-    extras: dict | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"--alpha must be in (0, 1), got {self.alpha}")
-        if self.m_ci < 1:
-            raise ValueError(f"--m-ci must be >= 1, got {self.m_ci}")
-        if self.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {self.threads}")
-        if self.reps < 1:
-            raise ValueError(f"--reps must be >= 1, got {self.reps}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown --algorithm {self.algorithm!r}")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_ci(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05, help="test size (default 0.05)")
     p.add_argument("--m-ci", type=int, default=3, dest="m_ci",
                    help="conditioning-set size cap (default 3)")
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+
+
+def _add_out(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--out", default=None, help="output path or path prefix")
-    p.add_argument("--format", dest="fmt", choices=("json", "dot", "csv"), default=None)
+    p.add_argument("--format", dest="fmt", choices=formats, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--cap-levels", type=float, default=None, metavar="COVERAGE",
                          dest="cap_levels",
                          help="merge rare levels beyond the given coverage into one")
-    _add_common(p_learn)
+    _add_ci(p_learn)
+    _add_out(p_learn, ("json", "dot"))
+    p_learn.set_defaults(run=cmd_learn)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo recovery benchmark")
     p_sim.add_argument("--kind", choices=("continuous", "categorical"), default="categorical")
@@ -116,20 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-parents", type=int, default=3, dest="max_parents")
     p_sim.add_argument("--reps", type=int, default=100)
     p_sim.add_argument("--no-bic", action="store_true", help="skip criterion scoring (categorical)")
-    _add_common(p_sim)
+    _add_ci(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0, help="master random seed")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    _add_out(p_sim, ("json", "csv"))
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_score = sub.add_parser("score", help="criterion table for graphs against a dataset")
     p_score.add_argument("graphs", nargs="+", help="graph files (.json or .dot)")
     p_score.add_argument("--data", required=True)
     p_score.add_argument("--schema", required=True)
-    _add_common(p_score)
+    p_score.add_argument("--out", default=None, help="JSON table path")
+    p_score.set_defaults(run=cmd_score)
 
     p_export = sub.add_parser("export", help="convert graphs and report distances")
     p_export.add_argument("graph", help="graph file (.json or .dot)")
     p_export.add_argument("--distances-from", default=None, dest="distances_from",
                           help="vertex for a reachable-within-k report")
     p_export.add_argument("--max-distance", type=int, default=3, dest="max_distance")
-    _add_common(p_export)
+    _add_out(p_export, ("json", "dot"))
+    p_export.set_defaults(run=cmd_export)
 
     return parser
 
@@ -149,45 +126,42 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def cmd_learn(cfg: RunConfig) -> int:
-    prior = PriorKnowledge.from_json(cfg.prior) if cfg.prior else None
-    if cfg.backend == "injected":
-        backend = InjectedBackend.from_json(cfg.data)
-        if cfg.schema:
-            variables = [v.name for v in load_schema(cfg.schema)]
+def cmd_learn(args: argparse.Namespace) -> int:
+    prior = PriorKnowledge.from_json(args.prior) if args.prior else None
+    if args.backend == "injected":
+        backend = InjectedBackend.from_json(args.data)
+        if args.schema:
+            variables = [v.name for v in load_schema(args.schema)]
         else:
             variables = list(backend.variable_names())
     else:
-        if not cfg.schema:
+        if not args.schema:
             raise ValueError("--schema is required unless --backend injected")
-        data = load_csv(cfg.data, cfg.schema)
-        preprocess = (cfg.extras or {})
-        if preprocess.get("cap_levels") is not None:
-            data = cap_levels(data, coverage=preprocess["cap_levels"])
-        if preprocess.get("drop_dominant") is not None:
-            data = filter_dominant(data, threshold=preprocess["drop_dominant"])
-        backend = make_backend(data, cfg.backend)
+        data = load_csv(args.data, args.schema)
+        if args.cap_levels is not None:
+            data = cap_levels(data, coverage=args.cap_levels)
+        if args.drop_dominant is not None:
+            data = filter_dominant(data, threshold=args.drop_dominant)
+        backend = make_backend(data, args.backend)
         variables = list(data.names)
     engine = CIEngine(backend)
-    if cfg.algorithm == PROPOSED:
-        graph = learn_structure(variables, engine, alpha=cfg.alpha, m_ci=cfg.m_ci, prior=prior)
+    if args.algorithm == PROPOSED:
+        graph = learn_structure(variables, engine, alpha=args.alpha, m_ci=args.m_ci, prior=prior)
     else:
-        graph = pc_stable(variables, engine, alpha=cfg.alpha, m_ci=cfg.m_ci, prior=prior)
+        graph = pc_stable(variables, engine, alpha=args.alpha, m_ci=args.m_ci, prior=prior)
 
     written = []
-    if cfg.out:
-        if cfg.fmt == "json":
-            _write(cfg.out, graph.to_json())
-            written = [cfg.out]
-        elif cfg.fmt == "dot":
-            _write(cfg.out, graph.to_dot())
-            written = [cfg.out]
-        elif cfg.fmt is None:
-            _write(cfg.out + ".json", graph.to_json())
-            _write(cfg.out + ".dot", graph.to_dot())
-            written = [cfg.out + ".json", cfg.out + ".dot"]
+    if args.out:
+        if args.fmt == "json":
+            _write(args.out, graph.to_json())
+            written = [args.out]
+        elif args.fmt == "dot":
+            _write(args.out, graph.to_dot())
+            written = [args.out]
         else:
-            raise ValueError("learn supports --format json or dot")
+            _write(args.out + ".json", graph.to_json())
+            _write(args.out + ".dot", graph.to_dot())
+            written = [args.out + ".json", args.out + ".dot"]
     _emit(
         {
             "nv": len(graph.vertices),
@@ -199,30 +173,29 @@ def cmd_learn(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    x = cfg.extras or {}
-    if x["kind"] == "continuous":
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.kind == "continuous":
         sim_cfg = ContinuousSimConfig(
-            k=x["k"], n=x["n"], rho=x["rho"], theta=x["theta"], reps=cfg.reps,
-            alpha=cfg.alpha, m_ci=cfg.m_ci, seed=cfg.seed, threads=cfg.threads,
+            k=args.k, n=args.n, rho=args.rho, theta=args.theta, reps=args.reps,
+            alpha=args.alpha, m_ci=args.m_ci, seed=args.seed, threads=args.threads,
         )
         reports = run_continuous_experiment(sim_cfg)
         echo = {
-            "kind": "continuous", "k": x["k"], "n": x["n"], "rho": x["rho"],
-            "theta": x["theta"], "reps": cfg.reps, "alpha": cfg.alpha,
-            "m_ci": cfg.m_ci, "seed": cfg.seed,
+            "kind": "continuous", "k": args.k, "n": args.n, "rho": args.rho,
+            "theta": args.theta, "reps": args.reps, "alpha": args.alpha,
+            "m_ci": args.m_ci, "seed": args.seed,
         }
     else:
         sim_cfg = CategoricalSimConfig(
-            k=x["k"], n=x["n"], levels=x["levels"], max_parents=x["max_parents"],
-            reps=cfg.reps, alpha=cfg.alpha, m_ci=cfg.m_ci, seed=cfg.seed,
-            threads=cfg.threads, compute_bic=not x["no_bic"],
+            k=args.k, n=args.n, levels=args.levels, max_parents=args.max_parents,
+            reps=args.reps, alpha=args.alpha, m_ci=args.m_ci, seed=args.seed,
+            threads=args.threads, compute_bic=not args.no_bic,
         )
         reports = run_categorical_experiment(sim_cfg)
         echo = {
-            "kind": "categorical", "k": x["k"], "n": x["n"], "levels": x["levels"],
-            "max_parents": x["max_parents"], "reps": cfg.reps, "alpha": cfg.alpha,
-            "m_ci": cfg.m_ci, "seed": cfg.seed, "bic": not x["no_bic"],
+            "kind": "categorical", "k": args.k, "n": args.n, "levels": args.levels,
+            "max_parents": args.max_parents, "reps": args.reps, "alpha": args.alpha,
+            "m_ci": args.m_ci, "seed": args.seed, "bic": not args.no_bic,
         }
     doc = {
         "config": echo,
@@ -230,13 +203,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     written = []
-    if cfg.out:
-        _write(cfg.out + ".json", text)
-        written.append(cfg.out + ".json")
-        if cfg.fmt == "csv":
+    if args.out:
+        _write(args.out + ".json", text)
+        written.append(args.out + ".json")
+        if args.fmt == "csv":
             for alg, rep in reports.items():
                 if rep.roc is not None:
-                    path = f"{cfg.out}_{alg}_roc.csv"
+                    path = f"{args.out}_{alg}_roc.csv"
                     _write(path, rep.roc_csv())
                     written.append(path)
     _emit(
@@ -251,10 +224,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    data = load_csv(cfg.data, cfg.schema)
+def cmd_score(args: argparse.Namespace) -> int:
+    data = load_csv(args.data, args.schema)
     rows = []
-    for path in cfg.extras["graphs"]:
+    for path in args.graphs:
         report = bic_of_graph(data, _load_graph(path))
         rows.append(
             {
@@ -264,8 +237,8 @@ def cmd_score(cfg: RunConfig) -> int:
                 "bic": report.bic,
             }
         )
-    if cfg.out:
-        _write(cfg.out, json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n")
+    if args.out:
+        _write(args.out, json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n")
     header = f"{'graph':<40} {'df':>8} {'loglik*':>14} {'bic':>14}"
     print(header)
     for r in rows:
@@ -273,28 +246,23 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    graph = _load_graph(cfg.extras["graph"])
+def cmd_export(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.graph)
     written = []
-    if cfg.out:
-        fmt = cfg.fmt or ("dot" if cfg.out.endswith(".dot") else "json")
-        if fmt == "dot":
-            _write(cfg.out, graph.to_dot())
-        elif fmt == "json":
-            _write(cfg.out, graph.to_json())
-        else:
-            raise ValueError("export supports --format json or dot")
-        written.append(cfg.out)
+    if args.out:
+        fmt = args.fmt or ("dot" if args.out.endswith(".dot") else "json")
+        _write(args.out, graph.to_dot() if fmt == "dot" else graph.to_json())
+        written.append(args.out)
     result: dict = {"out": written, "nv": len(graph.vertices), "ne": len(graph.skeleton_pairs())}
-    if cfg.extras["distances_from"]:
-        goal = cfg.extras["distances_from"]
+    goal = args.distances_from
+    if goal:
         if goal not in graph.vertices:
             raise errors.UnknownVertex(f"vertex {goal!r} not in graph")
         dist = _bfs_distances(graph, goal)
         result["distances_from"] = goal
         result["within"] = {
             str(k): sum(1 for d in dist.values() if 0 < d <= k)
-            for k in range(1, cfg.extras["max_distance"] + 1)
+            for k in range(1, args.max_distance + 1)
         }
     _emit(result)
     return 0
@@ -314,51 +282,23 @@ def _bfs_distances(graph: Cpdag, start: str) -> dict[str, int]:
     return dist
 
 
+def _check(args: argparse.Namespace) -> None:
+    """Range checks of the numeric options the command has."""
+    if hasattr(args, "alpha") and not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if hasattr(args, "m_ci") and args.m_ci < 1:
+        raise ValueError(f"--m-ci must be >= 1, got {args.m_ci}")
+    if hasattr(args, "threads") and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if hasattr(args, "reps") and args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        common = dict(
-            command=args.command,
-            alpha=args.alpha,
-            m_ci=args.m_ci,
-            seed=args.seed,
-            threads=args.threads,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        if args.command == "learn":
-            cfg = RunConfig(
-                data=args.data, schema=args.schema, backend=args.backend,
-                algorithm=args.algorithm, prior=args.prior,
-                extras={"cap_levels": args.cap_levels, "drop_dominant": args.drop_dominant},
-                **common,
-            )
-            return cmd_learn(cfg)
-        if args.command == "simulate":
-            cfg = RunConfig(
-                reps=args.reps,
-                extras=dict(
-                    kind=args.kind, k=args.k, n=args.n, rho=args.rho, theta=args.theta,
-                    levels=args.levels, max_parents=args.max_parents, no_bic=args.no_bic,
-                ),
-                **common,
-            )
-            return cmd_simulate(cfg)
-        if args.command == "score":
-            cfg = RunConfig(
-                data=args.data, schema=args.schema, extras={"graphs": args.graphs}, **common
-            )
-            return cmd_score(cfg)
-        cfg = RunConfig(
-            extras={
-                "graph": args.graph,
-                "distances_from": args.distances_from,
-                "max_distance": args.max_distance,
-            },
-            **common,
-        )
-        return cmd_export(cfg)
+        _check(args)
+        return args.run(args)
     except _INPUT_ERRORS as exc:
         _fail(exc)
         return 2

@@ -109,20 +109,19 @@ class Dataset:
         return self.columns[name]
 
     def codes(self, name: str) -> tuple[np.ndarray, int]:
-        """Level indices of a column and their level count.
+        """Observed-level indices of a column and their count.
 
-        A continuous column is cut at its quantiles into at most
-        ``QUINTILE_BINS`` bins; tied edges collapse and a bin no row falls
-        in is no level, so ties can leave fewer levels.
+        A continuous column is first cut at its quantiles into at most
+        ``QUINTILE_BINS`` bins, and tied edges collapse.  Either kind is
+        then renumbered to the levels some row has: a declared level or a
+        bin no row falls in is no level.
         """
-        var = self.variable(name)
         col = self.columns[name]
-        if var.is_discrete:
-            return col, len(var.levels)
-        qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
-        edges = np.unique(np.quantile(col, qs))
-        bins, codes = np.unique(np.searchsorted(edges, col, side="right"), return_inverse=True)
-        return codes, len(bins)
+        if not self.variable(name).is_discrete:
+            qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
+            col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
+        levels, codes = np.unique(col, return_inverse=True)
+        return codes, len(levels)
 
     def decode(self) -> dict[str, list]:
         """Map encoded columns back to raw cell values (labels / floats)."""

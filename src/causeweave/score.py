@@ -107,8 +107,9 @@ def fit_local(data: Dataset, x: str, parents) -> LocalFit:
     """Likelihood gain of regressing ``x`` on ``parents`` over no parents.
 
     The gain is non-negative by model nesting; the degrees of freedom count
-    the parameters beyond the null model, with unobserved parent
-    configurations (and collinear regression columns) contributing none.
+    the parameters beyond the null model, with unobserved levels of ``x``,
+    unobserved parent configurations (and collinear regression columns)
+    contributing none.
     """
     parents = sorted(set(parents))
     if x in parents:

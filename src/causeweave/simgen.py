@@ -123,6 +123,8 @@ class DiscreteNet:
 
     def sample(self, n: int, seed: object) -> Dataset:
         """Ancestral sampling of ``n`` rows."""
+        if n < 1:
+            raise ValueError("need at least one sample")
         rng = np.random.default_rng(seed)
         columns: dict[str, np.ndarray] = {}
         for v in self.graph.topological_order:

@@ -214,17 +214,22 @@ def test_empty_dataset_is_degenerate():
         ci_test(data, "a", "b", backend="gtest")
 
 
-def test_gtest_dof_counts_non_empty_bins_of_tied_column():
-    # Tied quantile edges leave one of four bins empty: the continuous
-    # column has three levels, so dof = (3 - 1) * (2 - 1).
-    cells = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0] * 6
-    schema = (
-        VariableSchema("b", "categorical", ("0", "1")),
-        VariableSchema("c", "continuous"),
-    )
-    data = from_raw(schema, {"b": ["0", "1"] * 30, "c": cells})
-    assert data.codes("c")[1] == 3
-    assert ci_test(data, "c", "b", backend="gtest").dof == 2
+@pytest.mark.parametrize(
+    "c_schema, cells, levels",
+    [
+        # Tied quantile edges leave one of four bins empty.
+        (VariableSchema("c", "continuous"), [0.0] * 6 + [1.0, 1.0, 2.0, 3.0], 3),
+        # A declared level no row has.
+        (VariableSchema("c", "categorical", ("0", "1", "2")), ["0", "1"] * 5, 2),
+    ],
+    ids=["continuous", "discrete"],
+)
+def test_gtest_dof_counts_non_empty_bins_of_tied_column(c_schema, cells, levels):
+    # Only observed levels count: dof = (levels - 1) * (2 - 1).
+    schema = (VariableSchema("b", "categorical", ("0", "1")), c_schema)
+    data = from_raw(schema, {"b": ["0", "1"] * 30, "c": cells * 6})
+    assert data.codes("c")[1] == levels
+    assert ci_test(data, "c", "b", backend="gtest").dof == levels - 1
 
 
 def reference_p_value(res) -> float:

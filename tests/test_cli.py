@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from causeweave import CIEngine, cap_levels, learn_structure, load_csv
+from causeweave.citest import make_backend
 from causeweave.cli import main
 from conftest import EXAMPLE1_ENTRIES
 
@@ -127,6 +129,101 @@ def test_learn_drop_dominant_flag(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["nv"] == 1  # dominated variable removed
+
+
+def test_learn_cap_levels_flag(tmp_path, capsys):
+    # `f` has two rare levels; merged into one, they carry no information
+    # about `g`, so capping removes the f-g edge.
+    f = ["a"] * 1200 + ["b"] * 640 + ["c"] * 100 + ["d"] * 60
+    g = [1] * 750 + [0] * 450 + [1] * 400 + [0] * 240 + [1] * 100 + [0] * 60
+    data = tmp_path / "d.csv"
+    data.write_text("f,g\n" + "".join(f"{a},{b}\n" for a, b in zip(f, g)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        json.dumps(
+            [
+                {"name": "f", "kind": "categorical", "levels": ["a", "b", "c", "d"]},
+                {"name": "g", "kind": "categorical", "levels": ["0", "1"]},
+            ]
+        )
+    )
+    out = tmp_path / "g.json"
+    code, _, _ = run(
+        capsys, "learn", "--data", str(data), "--schema", str(schema),
+        "--cap-levels", "0.9", "--format", "json", "--out", str(out),
+    )
+    assert code == 0
+
+    def learn(d):
+        return learn_structure(list(d.names), CIEngine(make_backend(d, "auto")))
+
+    raw = load_csv(data, schema)
+    capped = cap_levels(raw, 0.9)
+    assert capped.variable("f").levels == ("a", "b", "Others")
+    assert out.read_text() == learn(capped).to_json()
+    assert learn(capped).skeleton_pairs() != learn(raw).skeleton_pairs()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "--alpha", "0"],
+        ["learn", "--alpha", "1"],
+        ["learn", "--m-ci", "0"],
+        ["simulate", "--alpha", "0"],
+        ["simulate", "--alpha", "1"],
+        ["simulate", "--m-ci", "0"],
+        ["simulate", "--reps", "0"],
+        ["simulate", "--threads", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_option_exits_2(tmp_path, capsys, example1_file, argv):
+    command, *option = argv
+    if command == "learn":
+        argv = ["learn", "--data", example1_file, "--backend", "injected", *option]
+    code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(option[0] + " must be")
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("kind", ["categorical", "continuous"])
+def test_simulate_no_samples_exits_2(capsys, kind):
+    code, stdout, stderr = run(
+        capsys, "simulate", "--kind", kind, "--k", "4", "--n", "0", "--reps", "1"
+    )
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": {"type": "ValueError", "message": "need at least one sample"}
+    }
+
+
+def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, example1_file):
+    graph = str(tmp_path / "g.json")
+    run(capsys, "learn", "--data", example1_file, "--backend", "injected",
+        "--out", graph, "--format", "json")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["learn", "--data", example1_file, "--backend", "injected", "--seed", "1"],
+        ["score", graph, "--data", example1_file, "--schema", example1_file,
+         "--alpha", "0.1"],
+        ["export", graph, "--threads", "2"],
+        ["simulate", "--k", "4", "--n", "50", "--reps", "1", "--format", "dot"],
+        # Refused by the parser, before the missing file is looked for.
+        ["learn", "--data", str(tmp_path / "missing.csv"), "--schema", graph,
+         "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", out])
+        assert exc.value.code == 2
+        # An argparse usage error naming the option, not a JSON error.
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("causeweave") and ": error: " in last
+        assert argv[-2] in last
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["example1.json", "g.json"]
 
 
 def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys):
