@@ -19,7 +19,6 @@ from .citest import (
     d_sep,
     inject_results,
     make_backend,
-    oracle_ci,
 )
 from .dataset import (
     Dataset,
@@ -35,7 +34,7 @@ from .experiments import (
     run_categorical_experiment,
     run_continuous_experiment,
 )
-from .forward import CandidateSet, NeighborhoodFamily, candidate_extensions, forward_step
+from .forward import CandidateSet, NeighborhoodFamily, forward_step
 from .maximize import NeighborSelection, SepScore, maximization_step, q_value, sep_score
 from .pcstable import pc_stable, pc_stable_skeleton
 from .score import FitReport, bic_of_graph, dag_extension, fit_local

@@ -328,10 +328,6 @@ class OracleBackend:
         )
 
 
-def oracle_ci(g: OracleGraph, x: str, y: str, s=()) -> CITestResult:
-    return OracleBackend(g).compute(x, y, tuple(s))
-
-
 class InjectedBackend:
     """Returns exactly the p-values injected at construction time."""
 

@@ -198,14 +198,15 @@ def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -
 def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     """Load a headered, RFC-4180 CSV against a schema file.
 
-    Every schema variable must appear in the header (extra CSV columns are
-    ignored).  Discrete cells are mapped to level indices in schema order;
-    continuous cells must be finite numbers.  There is no imputation, so
-    missingness must be declared as an explicit level upstream.
+    Every schema variable must appear in the header exactly once (extra CSV
+    columns are ignored, repeated or not).  Discrete cells are mapped to
+    level indices in schema order; continuous cells must be finite numbers.
+    There is no imputation, so missingness must be declared as an explicit
+    level upstream.
 
     Raises
     ------
-    MissingColumn, RowLengthMismatch, UnknownLevel
+    MissingColumn, RowLengthMismatch, SchemaError, UnknownLevel
     """
     schema = load_schema(schema_path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -216,6 +217,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             raise RowLengthMismatch("empty CSV: header row required") from None
         col_pos: dict[str, int] = {}
         for var in schema:
+            if header.count(var.name) > 1:
+                raise SchemaError(f"CSV header repeats column {var.name!r}")
             try:
                 col_pos[var.name] = header.index(var.name)
             except ValueError:

@@ -184,23 +184,6 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
     return kept
 
 
-def candidate_extensions(
-    target: str,
-    s,
-    variables,
-    engine: CIEngine,
-    alpha: float = DEFAULT_ALPHA,
-    m_ci: int = DEFAULT_MAX_COND,
-) -> frozenset[str]:
-    """Extension set of one admissible candidate set, computed standalone.
-
-    ``s`` must be admissible for the target (the empty set always is);
-    all leave-one-out subsets are derived on the fly.
-    """
-    search = ForwardSearch(target, variables, engine, alpha=alpha, m_ci=m_ci)
-    return search.extensions(frozenset(s))
-
-
 def forward_step(
     target: str,
     variables,

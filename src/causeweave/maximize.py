@@ -6,20 +6,23 @@ It is evaluated through an incremental identity: the score over N is the
 maximum of the scores over the leave-one-out subsets of N and of the single
 test conditioned on all of N.  Above the conditioning-size cap the direct
 test is skipped and the leave-one-out maximum alone is used, which unrolls
-to a maximum over the cap-sized subsets.  Each distinct query is issued at
-most once per computation thanks to a per-computation memo.
+to a maximum over the cap-sized subsets.  Scores are memoized per
+(other, subset), and each subset's score issues at most the one test
+conditioned on that subset, so a computation asks each query at most once.
 
 A candidate's quality is the minimum separation score over all
 non-members: a good neighborhood lets some subset of itself separate the
 target from everything else.  Selection scans candidates with a running
 floor so hopeless candidates are abandoned on the first non-member they
-fail to separate.
+fail to separate.  The winner's scores against every other variable are
+kept with the selection; the skeleton reads its p-values and separating
+sets from them without testing again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .citest import DEFAULT_MAX_COND, CIEngine
@@ -40,12 +43,13 @@ class SepScore:
 
 @dataclass(frozen=True)
 class NeighborSelection:
-    """The winning candidate set for a target and its quality margin."""
+    """The winning candidate set for a target, its quality and, per other
+    variable ``v``, the score of ``v`` over ``chosen - {v}``."""
 
     target: str
     chosen: CandidateSet
     q_value: float
-    runner_up_q: float
+    separation: dict[str, tuple[float, Witness]] = field(hash=False)
 
     @property
     def neighbors(self) -> frozenset[str]:
@@ -65,15 +69,6 @@ class SepComputer:
         self.engine = engine
         self.m_ci = m_ci
         self._scores: dict[tuple[str, frozenset[str]], tuple[float, Witness]] = {}
-        self._queried: dict[tuple[str, Witness], float] = {}
-
-    def _ci(self, other: str, cond: Witness) -> float:
-        key = (other, cond)
-        found = self._queried.get(key)
-        if found is None:
-            found = self.engine.p_value(self.anchor, other, cond)
-            self._queried[key] = found
-        return found
 
     def score(self, other: str, n) -> tuple[float, Witness]:
         n = frozenset(n)
@@ -89,13 +84,13 @@ class SepComputer:
         if cached is not None:
             return cached
         if not n:
-            best = (self._ci(other, ()), ())
+            best = (self.engine.p_value(self.anchor, other), ())
         elif len(n) <= self.m_ci:
             best = (-1.0, ())
             for drop in sorted(n):
                 best = _better(best, self._score(other, n - {drop}))
             full = tuple(sorted(n))
-            best = _better(best, (self._ci(other, full), full))
+            best = _better(best, (self.engine.p_value(self.anchor, other, full), full))
         else:
             # Leave-one-out maxima recurse down to the cap-sized subsets,
             # so evaluate those directly; no test above the cap is run.
@@ -164,31 +159,22 @@ def maximization_step(
 
     Candidates are scanned in (cardinality, member-order) sequence with a
     rising floor, so ties resolve to the smaller, earlier set and losing
-    candidates are abandoned early; the outcome equals a full argmax.
+    candidates are abandoned early; the outcome equals a full argmax.  The
+    selection records the winner's score against every other variable.
     """
     if not family.family:
         raise EmptyFamily(f"no candidate neighborhoods for {x!r}")
     ordered = sorted(family.family, key=lambda c: (len(c.members), tuple(sorted(c.members))))
     computer = SepComputer(x, engine, m_ci=m_ci)
     chosen: CandidateSet | None = None
-    chosen_q = -math.inf
-    runner_up = -math.inf
-    floor = 0.0
+    # The best quality so far is the floor; p-values are never below 0.
+    chosen_q = 0.0
     for cand in ordered:
         q = q_value(
-            x, cand.as_set(), variables, engine, m_ci=m_ci, floor=floor, computer=computer
+            x, cand.as_set(), variables, engine, m_ci=m_ci, floor=chosen_q, computer=computer
         )
-        if chosen is None:
+        if chosen is None or q > chosen_q:
             chosen, chosen_q = cand, q
-            floor = max(floor, q)
-        elif q > floor:
-            runner_up = max(runner_up, chosen_q)
-            chosen, chosen_q = cand, q
-            floor = q
-        else:
-            runner_up = max(runner_up, q)
-    if runner_up == -math.inf:
-        runner_up = 0.0
-    return NeighborSelection(
-        target=x, chosen=chosen, q_value=chosen_q, runner_up_q=min(runner_up, chosen_q)
-    )
+    n = chosen.as_set()
+    separation = {v: computer.score(v, n - {v}) for v in variables if v != x}
+    return NeighborSelection(target=x, chosen=chosen, q_value=chosen_q, separation=separation)

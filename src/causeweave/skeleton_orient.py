@@ -28,7 +28,7 @@ from pathlib import Path
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import DEFAULT_BUDGET, forward_step
-from .maximize import NeighborSelection, SepComputer, maximization_step
+from .maximize import NeighborSelection, _better, maximization_step
 
 logger = logging.getLogger(__name__)
 
@@ -357,43 +357,28 @@ def build_skeleton(selections: dict[str, NeighborSelection]) -> Cpdag:
     return Cpdag(vertices=vertices, undirected=undirected)
 
 
-def edge_significance(
-    x: str,
-    y: str,
-    selections: dict[str, NeighborSelection],
-    engine: CIEngine,
-    m_ci: int = DEFAULT_MAX_COND,
-) -> float:
+def edge_significance(x: str, y: str, selections: dict[str, NeighborSelection]) -> float:
     """Connection strength of edge x-y: the smaller of the two endpoints'
-    best separating p-values (small means no subset separates the pair)."""
-    sx = SepComputer(x, engine, m_ci=m_ci).score(y, selections[x].neighbors - {y})
-    sy = SepComputer(y, engine, m_ci=m_ci).score(x, selections[y].neighbors - {x})
-    return min(sx[0], sy[0])
+    best separating p-values (small means no subset separates the pair),
+    read from ``selections[x].separation[y]`` and ``selections[y].separation[x]``."""
+    return min(selections[x].separation[y][0], selections[y].separation[x][0])
 
 
 def compute_sepsets(
-    skeleton: Cpdag,
-    selections: dict[str, NeighborSelection],
-    engine: CIEngine,
-    m_ci: int = DEFAULT_MAX_COND,
+    skeleton: Cpdag, selections: dict[str, NeighborSelection]
 ) -> dict[Pair, SeparationRecord]:
-    """Best separating set per non-adjacent pair, searched in both endpoints'
-    chosen neighborhoods; the larger p-value wins, ties prefer the smaller
-    witness."""
+    """Best separating set per non-adjacent pair x-y: the better of
+    ``selections[x].separation[y]`` and ``selections[y].separation[x]``,
+    each searched in that endpoint's chosen neighborhood; the larger p-value
+    wins, ties prefer the smaller witness."""
     out: dict[Pair, SeparationRecord] = {}
     verts = skeleton.vertices
     for i, x in enumerate(verts):
         for y in verts[i + 1 :]:
             if skeleton.has_edge(x, y):
                 continue
-            best: tuple[float, tuple[str, ...]] | None = None
-            for a, b in ((x, y), (y, x)):
-                value, witness = SepComputer(a, engine, m_ci=m_ci).score(
-                    b, selections[a].neighbors - {b}
-                )
-                if best is None or value > best[0] or (value == best[0] and witness < best[1]):
-                    best = (value, witness)
-            out[pair_key(x, y)] = SeparationRecord(witness=best[1], p_value=best[0])
+            value, witness = _better(selections[x].separation[y], selections[y].separation[x])
+            out[pair_key(x, y)] = SeparationRecord(witness=witness, p_value=value)
     return out
 
 
@@ -427,10 +412,14 @@ def orient(
     descending separating p-value; a collider contradicting prior knowledge
     or an already-committed opposite arrow is dropped), then the two
     propagation rules to a fixed point.  Skeleton edges are never added or
-    removed, only directed.
+    removed, only directed.  A prior that names a vertex the skeleton does
+    not have raises ``UnknownVertex``.
     """
     pk = pk if pk is not None else PriorKnowledge()
     pk.check_consistent()
+    unknown = set(pk.tiers).union(*pk.required, *pk.forbidden) - set(skeleton.vertices)
+    if unknown:
+        raise UnknownVertex(f"prior knowledge names unknown vertices {sorted(unknown)!r}")
     g = skeleton.copy()
     g.sepsets = dict(sepsets)
 
@@ -517,9 +506,9 @@ def learn_structure(
         family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci, budget=budget)
         selections[x] = maximization_step(x, family, variables, engine, m_ci=m_ci)
     skeleton = build_skeleton(selections)
-    sepsets = compute_sepsets(skeleton, selections, engine, m_ci=m_ci)
+    sepsets = compute_sepsets(skeleton, selections)
     significance = {
-        pair: edge_significance(pair[0], pair[1], selections, engine, m_ci=m_ci)
+        pair: edge_significance(pair[0], pair[1], selections)
         for pair in sorted(skeleton.skeleton_pairs())
     }
     skeleton.edge_significance = significance

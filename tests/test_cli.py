@@ -308,6 +308,33 @@ def test_export_round_trip_and_distances(tmp_path, capsys, example1_file):
     assert round_tripped["directed"] == original["directed"]
 
 
+@pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"tiers": {"Xx": 0}, "required": [["Y", "Q"]]},
+        {"tiers": {"Xx": 0}},
+        {"required": [["Y", "Q"]]},
+        {"forbidden": [["Q", "X"]]},
+    ],
+)
+def test_learn_prior_naming_unknown_vertex_exits_2(
+    tmp_path, capsys, example1_file, algorithm, prior
+):
+    prior_path = tmp_path / "prior.json"
+    prior_path.write_text(json.dumps(prior))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", example1_file, "--backend", "injected",
+        "--algorithm", algorithm, "--prior", str(prior_path), "--out", str(out),
+        "--format", "json",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(stderr)["error"]["type"] == "UnknownVertex"
+    assert not out.exists()
+
+
 def test_export_unknown_vertex_exits_2(tmp_path, capsys, example1_file):
     json_path = str(tmp_path / "g.json")
     run(

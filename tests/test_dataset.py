@@ -53,6 +53,15 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(*paths)
 
 
+def test_load_csv_repeated_header_column(tmp_path):
+    # a schema column named twice is ambiguous; a repeated extra column is not read
+    paths = write_inputs(tmp_path, ["yes,low,1.0,no"], header="a,b,c,a")
+    with pytest.raises(SchemaError, match="repeats column 'a'"):
+        load_csv(*paths)
+    paths = write_inputs(tmp_path, ["yes,low,1.0,x,y"], header="a,b,c,extra,extra")
+    assert load_csv(*paths).decode()["a"] == ["yes"]
+
+
 def test_load_csv_ragged_row(tmp_path):
     paths = write_inputs(tmp_path, ["yes,low,1.0", "no,mid"])
     with pytest.raises(RowLengthMismatch, match="row 2"):

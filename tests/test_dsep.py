@@ -1,6 +1,6 @@
 import pytest
 
-from causeweave import CIEngine, OracleBackend, OracleGraph, d_sep, oracle_ci
+from causeweave import CIEngine, OracleBackend, OracleGraph, d_sep
 from causeweave.errors import UnknownVertex
 from causeweave.simgen import random_dag
 from oracle_helpers import all_subsets, brute_force_dsep
@@ -67,9 +67,9 @@ def test_dsep_matches_path_enumeration(rng):
 
 
 def test_oracle_ci_values():
-    assert oracle_ci(CHAIN, "X", "Y", {"Z"}).p_value == 1.0
-    assert oracle_ci(COLLIDER, "X", "Y").p_value == 1.0
-    assert oracle_ci(COLLIDER, "X", "Y", {"Z"}).p_value == 0.0
+    assert OracleBackend(CHAIN).compute("X", "Y", ("Z",)).p_value == 1.0
+    assert OracleBackend(COLLIDER).compute("X", "Y", ()).p_value == 1.0
+    assert OracleBackend(COLLIDER).compute("X", "Y", ("Z",)).p_value == 0.0
 
 
 def test_oracle_graphoid_implication(rng):

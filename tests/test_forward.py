@@ -4,7 +4,6 @@ from causeweave import (
     CIEngine,
     OracleBackend,
     OracleGraph,
-    candidate_extensions,
     forward_step,
     inject_results,
 )
@@ -27,9 +26,13 @@ def engine_for(table):
 
 
 def test_example1_extensions(example1_engine):
-    assert candidate_extensions("X", (), VARS3, example1_engine, alpha=0.05) == {"Y", "Z"}
-    assert candidate_extensions("X", ("Y",), VARS3, example1_engine, alpha=0.05) == frozenset()
-    assert candidate_extensions("X", ("Z",), VARS3, example1_engine, alpha=0.05) == frozenset()
+    def extensions(s):
+        search = ForwardSearch("X", VARS3, example1_engine, alpha=0.05)
+        return search.extensions(frozenset(s))
+
+    assert extensions(()) == {"Y", "Z"}
+    assert extensions(("Y",)) == frozenset()
+    assert extensions(("Z",)) == frozenset()
 
 
 def test_example1_family(example1_engine):

@@ -117,7 +117,9 @@ def test_example1_selection(example1_engine):
     sel = maximization_step("X", fam, VARS3, example1_engine)
     assert sel.chosen.members == ("Z",)
     assert sel.q_value == 0.30
-    assert sel.runner_up_q == 0.20
+    # the winner's scores: Y over {Z}, and Z over the rest of {Z}
+    assert sel.separation == {"Y": (0.30, ("Z",)), "Z": (0.02, ())}
+    assert hash(sel) == hash(maximization_step("X", fam, VARS3, example1_engine))
     # the motivating contract: exactly one of the two rivals survives
     assert sel.neighbors in ({"Y"}, {"Z"})
 

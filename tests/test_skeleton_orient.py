@@ -7,13 +7,14 @@ from causeweave import (
     compute_sepsets,
     edge_significance,
     forward_step,
+    inject_results,
     learn_structure,
     maximization_step,
     orient,
 )
 from causeweave.errors import PriorKnowledgeCycle
-from causeweave.forward import CandidateSet
-from causeweave.maximize import NeighborSelection
+from causeweave.forward import CandidateSet, NeighborhoodFamily
+from causeweave.maximize import NeighborSelection, SepComputer
 from causeweave.simgen import random_dag
 from causeweave.skeleton_orient import (
     Cpdag,
@@ -22,7 +23,7 @@ from causeweave.skeleton_orient import (
     cpdag_from_dot,
     pair_key,
 )
-from oracle_helpers import cpdag_vstructs, true_vstructs
+from oracle_helpers import cpdag_vstructs, ptable_entries, random_ptable, true_vstructs
 
 
 def selection(target, members, q=1.0):
@@ -30,8 +31,19 @@ def selection(target, members, q=1.0):
         target=target,
         chosen=CandidateSet(members=tuple(sorted(members))),
         q_value=q,
-        runner_up_q=0.0,
+        separation={},
     )
+
+
+def scored_selection(target, members, variables, engine):
+    """Selection of a one-candidate family, with its separation scores."""
+    family = NeighborhoodFamily(
+        target=target,
+        family=(CandidateSet(members=tuple(sorted(members))),),
+        alpha=0.05,
+        m_ci=3,
+    )
+    return maximization_step(target, family, variables, engine)
 
 
 def undirected_graph(vertices, pairs, sepsets=None):
@@ -54,12 +66,11 @@ def test_skeleton_empty_when_no_selections():
 
 def test_edge_significance_is_min_and_symmetric(example1_engine):
     sels = {
-        "X": selection("X", ["Z"]),
-        "Y": selection("Y", ["Z"]),
-        "Z": selection("Z", ["Y"]),
+        t: scored_selection(t, members, "XYZ", example1_engine)
+        for t, members in (("X", ["Z"]), ("Y", ["Z"]), ("Z", ["Y"]))
     }
-    xz = edge_significance("X", "Z", sels, example1_engine)
-    zx = edge_significance("Z", "X", sels, example1_engine)
+    xz = edge_significance("X", "Z", sels)
+    zx = edge_significance("Z", "X", sels)
     # side of X: no other candidates -> marginal 0.02; side of Z: max(0.02, 0.20)
     assert xz == 0.02
     assert xz == zx
@@ -186,7 +197,7 @@ def test_orientation_preserves_skeleton(rng):
             fam = forward_step(x, dag.vertices, engine)
             sels[x] = maximization_step(x, fam, dag.vertices, engine)
         skeleton = build_skeleton(sels)
-        seps = compute_sepsets(skeleton, sels, engine)
+        seps = compute_sepsets(skeleton, sels)
         out = orient(skeleton, None, seps)
         assert out.skeleton_pairs() == skeleton.skeleton_pairs()
         assert out.is_acyclic()
@@ -206,6 +217,79 @@ def test_oracle_pipeline_recovers_superset_and_exact_vstructs(rng):
             exact += 1
             assert cpdag_vstructs(g) == true_vstructs(dag)
     assert exact / total > 0.8
+
+
+def learning_cases(rng):
+    """(variables, engine factory, alpha): 50 random p-tables, 20 oracle DAGs."""
+    for _ in range(50):
+        names = [f"T{i}" for i in range(int(rng.integers(4, 7)))]
+        entries = ptable_entries(random_ptable(names, rng))
+        alpha = float(rng.uniform(0.2, 0.8))
+        yield names, lambda e=entries: CIEngine(inject_results(e)), alpha
+    for _ in range(20):
+        dag = random_dag(7, rng, edge_prob=0.3, max_degree=3)
+        yield list(dag.vertices), lambda d=dag: CIEngine(OracleBackend(d)), 0.05
+
+
+def learn_per_pair(variables, engine, alpha, m_ci):
+    """``learn_structure`` with one fresh ``SepComputer`` per ordered pair
+    for the sepsets and the edge p-values: the reference for the stored
+    separation scores."""
+    sels = {
+        x: maximization_step(
+            x, forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci),
+            variables, engine, m_ci=m_ci,
+        )
+        for x in variables
+    }
+    skeleton = build_skeleton(sels)
+
+    def score(a, b):
+        return SepComputer(a, engine, m_ci=m_ci).score(b, sels[a].neighbors - {b})
+
+    sepsets = {}
+    for i, x in enumerate(variables):
+        for y in variables[i + 1 :]:
+            if skeleton.has_edge(x, y):
+                continue
+            best = None
+            for a, b in ((x, y), (y, x)):
+                value, witness = score(a, b)
+                if best is None or value > best[0] or (value == best[0] and witness < best[1]):
+                    best = (value, witness)
+            sepsets[pair_key(x, y)] = SeparationRecord(witness=best[1], p_value=best[0])
+    skeleton.edge_significance = {
+        (x, y): min(score(x, y)[0], score(y, x)[0]) for x, y in skeleton.skeleton_pairs()
+    }
+    return orient(skeleton, None, sepsets), sels
+
+
+def test_separation_scores_equal_fresh_per_pair_scores(rng):
+    for variables, make_engine, alpha in learning_cases(rng):
+        engine = make_engine()
+        reference, sels = learn_per_pair(variables, engine, alpha, m_ci=3)
+        for a, sel in sels.items():
+            assert set(sel.separation) == set(variables) - {a}
+            for b, stored in sel.separation.items():
+                fresh = SepComputer(a, engine, m_ci=3).score(b, sel.neighbors - {b})
+                assert stored == fresh, (a, b)
+        graph = learn_structure(variables, make_engine(), alpha=alpha, m_ci=3)
+        assert graph.to_json() == reference.to_json()
+
+
+def test_no_query_after_selection(rng):
+    # Sepsets and edge p-values are read from the selections, so a full
+    # learn asks exactly the forward and selection queries, in their order.
+    for variables, make_engine, alpha in learning_cases(rng):
+        engine = make_engine()
+        with engine.trace() as full:
+            learn_structure(variables, engine, alpha=alpha, m_ci=3)
+        engine = make_engine()
+        with engine.trace() as steps:
+            for x in variables:
+                family = forward_step(x, variables, engine, alpha=alpha, m_ci=3)
+                maximization_step(x, family, variables, engine, m_ci=3)
+        assert full == steps
 
 
 def test_learned_graph_carries_significance_and_sepsets(example1_engine):
