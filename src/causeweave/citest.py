@@ -82,9 +82,7 @@ class CITestResult:
 class CICache:
     """Memo of test results keyed by canonical query.
 
-    Plain dict operations are atomic under the interpreter lock, and any two
-    writers for the same key store identical results, so concurrent use is
-    benign (last write wins).  Counters only ever increase.
+    One cache serves one learn in one process.  Counters only ever increase.
     """
 
     def __init__(self) -> None:

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--no-bic", action="store_true", help="skip criterion scoring (categorical)")
     _add_ci(p_sim)
     p_sim.add_argument("--seed", type=int, default=0, help="master random seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     _add_out(p_sim, ("json", "csv"))
     p_sim.set_defaults(run=cmd_simulate)
 

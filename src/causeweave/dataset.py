@@ -2,7 +2,7 @@
 
 Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
-marked read-only so it can be shared freely across threads.
+marked read-only.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ Two experiment families:
   information criterion is evaluated per replicate.
 
 Every replicate derives its generator from (master seed, replicate index),
-so results are independent of scheduling and thread count.
+so results are independent of scheduling and worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 from .citest import CIEngine, FisherZBackend, GTestBackend
@@ -79,11 +79,38 @@ def _learn_all(data, engine, algorithms, alpha, m_ci):
     return graphs
 
 
+# The replicate closure of the open pool.  Forked workers inherit it, so
+# only replicate indices and results cross the process boundary.
+_job = None
+
+
+def _run_job(rep: int):
+    return _job(rep)
+
+
 def _map_reps(worker, reps: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(reps)))
+    """``[worker(r) for r in range(reps)]``, on at most ``threads`` forked
+    worker processes and never more than there are cores.
+
+    Results come back in replicate order, and a failure raises the lowest
+    failing replicate's exception, as the serial loop does.  Where ``fork``
+    is unavailable the replicates run serially: spawned workers would
+    re-import numpy and scipy and could not receive the closure.
+    """
+    global _job
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _job = worker
+            try:
+                ctx = multiprocessing.get_context("fork")
+                with ctx.Pool(workers) as pool:
+                    return list(pool.imap(_run_job, range(reps)))
+            finally:
+                _job = None
+    return [worker(r) for r in range(reps)]
 
 
 def run_continuous_experiment(cfg: ContinuousSimConfig) -> dict[str, SimReport]:

@@ -95,6 +95,12 @@ def pc_stable(
     m_ci: int = DEFAULT_MAX_COND,
     prior: PriorKnowledge | None = None,
 ) -> Cpdag:
-    """Baseline pipeline: level-wise skeleton plus the shared orientation."""
+    """Baseline pipeline: level-wise skeleton plus the shared orientation.
+
+    A bad ``prior`` raises before the first CI test.
+    """
+    variables = list(variables)
+    if prior is not None:
+        prior.check(variables)
     skeleton, sepsets = pc_stable_skeleton(variables, engine, alpha=alpha, m_ci=m_ci)
     return orient(skeleton, prior, sepsets)

@@ -110,6 +110,14 @@ class PriorKnowledge:
             if v not in seen:
                 visit(v)
 
+    def check(self, vertices) -> None:
+        """Raise ``PriorKnowledgeCycle`` when the prior is inconsistent and
+        ``UnknownVertex`` when it names a vertex outside ``vertices``."""
+        self.check_consistent()
+        unknown = set(self.tiers).union(*self.required, *self.forbidden) - set(vertices)
+        if unknown:
+            raise UnknownVertex(f"prior knowledge names unknown vertices {sorted(unknown)!r}")
+
     def allows(self, a: str, b: str) -> bool:
         """May an edge be directed a -> b under these constraints?"""
         if (a, b) in self.forbidden or (b, a) in self.required:
@@ -416,10 +424,7 @@ def orient(
     not have raises ``UnknownVertex``.
     """
     pk = pk if pk is not None else PriorKnowledge()
-    pk.check_consistent()
-    unknown = set(pk.tiers).union(*pk.required, *pk.forbidden) - set(skeleton.vertices)
-    if unknown:
-        raise UnknownVertex(f"prior knowledge names unknown vertices {sorted(unknown)!r}")
+    pk.check(skeleton.vertices)
     g = skeleton.copy()
     g.sepsets = dict(sepsets)
 
@@ -498,9 +503,12 @@ def learn_structure(
 
     ``variables`` fixes both the vertex set and the enumeration order used
     by the per-target searches.  The returned graph carries per-edge
-    connection p-values and per-non-adjacent-pair separating sets.
+    connection p-values and per-non-adjacent-pair separating sets.  A bad
+    ``prior`` raises before the first CI test.
     """
     variables = list(variables)
+    if prior is not None:
+        prior.check(variables)
     selections: dict[str, NeighborSelection] = {}
     for x in variables:
         family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci, budget=budget)

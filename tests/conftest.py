@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,10 @@ def example1_engine():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail any test that leaves a worker process running."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -241,6 +241,24 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("threads, reps", [(2, 4), (3, 2)])
+def test_simulate_continuous_worker_count_does_not_change_bytes(
+    tmp_path, capsys, threads, reps
+):
+    outs = []
+    for t in (1, threads):
+        out = str(tmp_path / f"cont_{t}")
+        code, _, _ = run(
+            capsys,
+            "simulate", "--kind", "continuous", "--k", "6", "--n", "150",
+            "--rho", "0.2", "--reps", str(reps), "--seed", "5", "--threads", str(t),
+            "--out", out,
+        )
+        assert code == 0
+        outs.append(Path(out + ".json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_simulate_continuous_writes_report(tmp_path, capsys):
     out = str(tmp_path / "cont")
     code, stdout, _ = run(
@@ -352,5 +370,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second and 50 MB at start-up; the CI tests
     # need only scipy.special.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, causeweave.cli; assert 'scipy.stats' not in sys.modules"
+    # The replicate pool imports multiprocessing only when it forks.
+    code = (
+        "import sys, causeweave.cli; "
+        "assert 'scipy.stats' not in sys.modules and 'multiprocessing' not in sys.modules"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -11,8 +11,9 @@ from causeweave import (
     learn_structure,
     maximization_step,
     orient,
+    pc_stable,
 )
-from causeweave.errors import PriorKnowledgeCycle
+from causeweave.errors import PriorKnowledgeCycle, UnknownVertex
 from causeweave.forward import CandidateSet, NeighborhoodFamily
 from causeweave.maximize import NeighborSelection, SepComputer
 from causeweave.simgen import random_dag
@@ -148,6 +149,31 @@ def test_prior_knowledge_cycles_rejected():
         PriorKnowledge(tiers={"A": 1, "B": 0}, required=frozenset({("A", "B")}))
     with pytest.raises(ValueError):
         PriorKnowledge(required=frozenset({("A", "B")}), forbidden=frozenset({("A", "B")}))
+
+
+def _cyclic_prior():
+    # Construction refuses a cycle, so only a prior altered afterwards has one.
+    pk = PriorKnowledge(required=frozenset({("X", "Y")}))
+    object.__setattr__(pk, "required", frozenset({("X", "Y"), ("Y", "X")}))
+    return pk
+
+
+@pytest.mark.parametrize("learner", [learn_structure, pc_stable])
+@pytest.mark.parametrize(
+    "prior, error",
+    [
+        (PriorKnowledge(tiers={"Xx": 0}), UnknownVertex),
+        (PriorKnowledge(forbidden=frozenset({("Q", "X")})), UnknownVertex),
+        (_cyclic_prior(), PriorKnowledgeCycle),
+    ],
+    ids=["unknown-tier", "unknown-forbidden", "cyclic-required"],
+)
+def test_bad_prior_raises_before_any_query(example1_engine, learner, prior, error):
+    with example1_engine.trace() as log:
+        with pytest.raises(error):
+            learner(["X", "Y", "Z"], example1_engine, prior=prior)
+    assert log == []
+    assert example1_engine.cache.hits == example1_engine.cache.misses == 0
 
 
 def test_propagation_unshielded_rule():
