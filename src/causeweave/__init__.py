@@ -42,7 +42,6 @@ from .simgen import (
     LinearSemSpec,
     SimReport,
     evaluate_recovery,
-    gen_discrete_net,
     gen_linear_sem,
     make_discrete_net,
     random_dag,

@@ -36,6 +36,7 @@ _INPUT_ERRORS = (
     errors.UninjectedQuery,
     errors.MixedBackendUnsupported,
     errors.UnknownVertex,
+    errors.PriorKnowledgeCycle,
     FileNotFoundError,
     json.JSONDecodeError,
     ValueError,

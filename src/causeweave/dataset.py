@@ -26,22 +26,21 @@ VALID_KINDS = DISCRETE_KINDS + ("continuous",)
 
 # Bins used when a continuous variable is encoded as levels.
 QUINTILE_BINS = 5
+# The level ``cap_levels`` merges rare levels into.
+OTHER_LABEL = "Others"
 
 
 @dataclass(frozen=True)
 class VariableSchema:
-    """Declares one variable: its name, kind, levels, and optional tier.
+    """Declares one variable: its name, kind and levels.
 
     ``levels`` is the ordered list of admissible labels for categorical and
-    ordinal variables and must be empty for continuous ones.  ``tier`` is an
-    optional non-negative rank used for prior-knowledge ordering (a lower
-    tier may cause a higher tier, never the reverse).
+    ordinal variables and must be empty for continuous ones.
     """
 
     name: str
     kind: str
     levels: tuple[str, ...] = ()
-    tier: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in VALID_KINDS:
@@ -54,8 +53,6 @@ class VariableSchema:
                 raise SchemaError(f"{self.name}: discrete variables need >=2 levels")
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"{self.name}: duplicate level labels")
-        if self.tier is not None and (not isinstance(self.tier, int) or self.tier < 0):
-            raise SchemaError(f"{self.name}: tier must be a non-negative integer")
 
     @property
     def is_discrete(self) -> bool:
@@ -104,10 +101,6 @@ class Dataset:
     def is_discrete(self, name: str) -> bool:
         return self.variable(name).is_discrete
 
-    def column(self, name: str) -> np.ndarray:
-        self.variable(name)
-        return self.columns[name]
-
     def codes(self, name: str) -> tuple[np.ndarray, int]:
         """Observed-level indices of a column and their count.
 
@@ -136,7 +129,10 @@ class Dataset:
 
 
 def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
-    """Read a schema file: a JSON array of {name, kind, levels?, tier?}."""
+    """Read a schema file: a JSON array of {name, kind, levels?}.
+
+    Tiers are prior knowledge and belong in the prior file, not here.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -145,12 +141,15 @@ def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"schema entry missing name/kind: {entry!r}")
+        if "tier" in entry:
+            raise SchemaError(
+                f"{entry['name']}: the schema takes no tier; give tiers in --prior"
+            )
         out.append(
             VariableSchema(
                 name=str(entry["name"]),
                 kind=str(entry["kind"]),
                 levels=tuple(str(v) for v in entry.get("levels", ())),
-                tier=entry.get("tier"),
             )
         )
     return tuple(out)
@@ -202,7 +201,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     columns are ignored, repeated or not).  Discrete cells are mapped to
     level indices in schema order; continuous cells must be finite numbers.
     There is no imputation, so missingness must be declared as an explicit
-    level upstream.
+    level upstream.  A file with a header and no data rows is refused.
 
     Raises
     ------
@@ -224,6 +223,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             except ValueError:
                 raise MissingColumn(f"CSV header lacks column {var.name!r}") from None
         raw: dict[str, list[str]] = {name: [] for name in col_pos}
+        row_no = 0
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise RowLengthMismatch(
@@ -231,6 +231,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
                 )
             for name, pos in col_pos.items():
                 raw[name].append(row[pos])
+    if row_no == 0:
+        raise RowLengthMismatch("empty CSV: no data rows")
     return from_raw(schema, raw)
 
 
@@ -260,12 +262,12 @@ def filter_dominant(data: Dataset, threshold: float = 0.99) -> Dataset:
     )
 
 
-def cap_levels(data: Dataset, coverage: float = 0.95, other_label: str = "Others") -> Dataset:
+def cap_levels(data: Dataset, coverage: float = 0.95) -> Dataset:
     """Collapse rare levels of each discrete variable into one residual level.
 
     For each discrete variable, the most frequent levels jointly covering at
     least ``coverage`` of the rows are kept; the rest are merged into a new
-    ``other_label`` level.  Variables where fewer than two levels would be
+    ``OTHER_LABEL`` level.  Variables where fewer than two levels would be
     merged are left untouched (merging a single level is a pure rename).
     """
     if not 0.0 < coverage <= 1.0:
@@ -295,12 +297,12 @@ def cap_levels(data: Dataset, coverage: float = 0.95, other_label: str = "Others
             continue
         kept_sorted = sorted(kept)
         labels = tuple(var.levels[i] for i in kept_sorted)
-        if other_label in labels:
-            raise SchemaError(f"{var.name}: residual label {other_label!r} already a level")
+        if OTHER_LABEL in labels:
+            raise SchemaError(f"{var.name}: residual label {OTHER_LABEL!r} already a level")
         remap = np.full(len(var.levels), len(kept_sorted), dtype=np.int64)
         for new_idx, old_idx in enumerate(kept_sorted):
             remap[old_idx] = new_idx
-        new_schema.append(replace(var, levels=labels + (other_label,)))
+        new_schema.append(replace(var, levels=labels + (OTHER_LABEL,)))
         new_columns[var.name] = remap[col]
     return Dataset(schema=tuple(new_schema), columns=new_columns, n=data.n)
 

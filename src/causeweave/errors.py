@@ -49,9 +49,5 @@ class PriorKnowledgeCycle(CauseweaveError):
     """Required edges and tier constraints are jointly cyclic."""
 
 
-class SingularFit(CauseweaveError):
-    """A local regression design was singular beyond repair."""
-
-
 class VertexMismatch(CauseweaveError):
     """Graphs passed to a comparison do not share the same vertex set."""

@@ -20,7 +20,6 @@ filtered down to the ones that are maximal under inclusion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
@@ -48,8 +47,6 @@ class NeighborhoodFamily:
 
     target: str
     family: tuple[CandidateSet, ...]
-    alpha: float
-    m_ci: int
 
     def member_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(c.as_set() for c in self.family)
@@ -137,7 +134,7 @@ class ForwardSearch:
         self.memo[s] = result
         return result
 
-    def run(self, trace=None) -> NeighborhoodFamily:
+    def run(self) -> NeighborhoodFamily:
         """Expand sets level by level and keep the maximal terminal ones."""
         terminal: list[frozenset[str]] = []
         level: list[frozenset[str]] = [frozenset()]
@@ -153,14 +150,6 @@ class ForwardSearch:
                         f"{self.target}: more than {self.budget} candidate sets expanded"
                     )
                 ext = self.extensions(s)
-                if trace is not None:
-                    trace.write(
-                        json.dumps(
-                            {"set": self._sorted(s), "extensions": self._sorted(ext)},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
                 if ext:
                     next_level.extend(s | {t} for t in ext)
                 else:
@@ -170,9 +159,7 @@ class ForwardSearch:
             CandidateSet(members=tuple(self._sorted(s))) for s in _maximal(terminal)
         ]
         family.sort(key=lambda c: (len(c.members), tuple(self.rank[v] for v in c.members)))
-        return NeighborhoodFamily(
-            target=self.target, family=tuple(family), alpha=self.alpha, m_ci=self.m_ci
-        )
+        return NeighborhoodFamily(target=self.target, family=tuple(family))
 
 
 def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
@@ -191,13 +178,11 @@ def forward_step(
     alpha: float = DEFAULT_ALPHA,
     m_ci: int = DEFAULT_MAX_COND,
     budget: int = DEFAULT_BUDGET,
-    trace=None,
 ) -> NeighborhoodFamily:
     """All maximal admissible candidate neighborhoods of ``target``.
 
-    ``variables`` fixes the enumeration order.  ``trace``, when given, is a
-    text sink receiving one JSON line per expanded set.
+    ``variables`` fixes the enumeration order.
     """
     return ForwardSearch(
         target, variables, engine, alpha=alpha, m_ci=m_ci, budget=budget
-    ).run(trace=trace)
+    ).run()

@@ -1,14 +1,9 @@
 """Selection of the best candidate neighborhood by a minimax p-value score.
 
 For a pair (x, y) and a candidate set N, the *separation score* is the
-largest p-value of the tests of x against y conditioned on subsets of N.
-It is evaluated through an incremental identity: the score over N is the
-maximum of the scores over the leave-one-out subsets of N and of the single
-test conditioned on all of N.  Above the conditioning-size cap the direct
-test is skipped and the leave-one-out maximum alone is used, which unrolls
-to a maximum over the cap-sized subsets.  Scores are memoized per
-(other, subset), and each subset's score issues at most the one test
-conditioned on that subset, so a computation asks each query at most once.
+largest p-value of the tests of x against y conditioned on a subset of N
+with at most ``m_ci`` members.  Each (y, subset) p-value is asked of the
+engine at most once per anchor x.
 
 A candidate's quality is the minimum separation score over all
 non-members: a good neighborhood lets some subset of itself separate the
@@ -59,51 +54,39 @@ class NeighborSelection:
 class SepComputer:
     """Separation scores for one anchor variable, with shared memoization.
 
-    ``score(other, n)`` returns the maximal p-value over subsets of ``n``
-    (capped at ``m_ci`` conditioning variables) together with the witness
-    subset attaining it; ties prefer the lexicographically smallest witness.
+    ``score(other, n)`` is the maximum, over the subsets of ``n`` with at
+    most ``m_ci`` members, of the p-value of ``anchor`` against ``other``
+    given the subset, together with the witness subset attaining it; ties
+    prefer the lexicographically smallest witness.  The p-value of each
+    (other, subset) is asked of the engine at most once per computer.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
         self.anchor = anchor
         self.engine = engine
         self.m_ci = m_ci
-        self._scores: dict[tuple[str, frozenset[str]], tuple[float, Witness]] = {}
+        self._p: dict[tuple[str, Witness], float] = {}
 
     def score(self, other: str, n) -> tuple[float, Witness]:
-        n = frozenset(n)
+        n = sorted(set(n))
         if other == self.anchor or other in n or self.anchor in n:
             raise ValueError(
-                f"separation query must keep {self.anchor!r}/{other!r} outside {sorted(n)!r}"
+                f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
             )
-        return self._score(other, n)
-
-    def _score(self, other: str, n: frozenset[str]) -> tuple[float, Witness]:
-        key = (other, n)
-        cached = self._scores.get(key)
-        if cached is not None:
-            return cached
-        if not n:
-            best = (self.engine.p_value(self.anchor, other), ())
-        elif len(n) <= self.m_ci:
-            best = (-1.0, ())
-            for drop in sorted(n):
-                best = _better(best, self._score(other, n - {drop}))
-            full = tuple(sorted(n))
-            best = _better(best, (self.engine.p_value(self.anchor, other, full), full))
-        else:
-            # Leave-one-out maxima recurse down to the cap-sized subsets,
-            # so evaluate those directly; no test above the cap is run.
-            best = (-1.0, ())
-            for sub in combinations(sorted(n), self.m_ci):
-                best = _better(best, self._score(other, frozenset(sub)))
-        self._scores[key] = best
+        best = (-1.0, ())
+        for size in range(min(len(n), self.m_ci) + 1):
+            for sub in combinations(n, size):
+                p = self._p.get((other, sub))
+                if p is None:
+                    p = self._p[(other, sub)] = self.engine.p_value(self.anchor, other, sub)
+                best = _better(best, (p, sub))
         return best
 
 
 def _better(
     current: tuple[float, Witness], candidate: tuple[float, Witness]
 ) -> tuple[float, Witness]:
+    """The larger p-value; on a tie, the smaller witness."""
     if candidate[0] > current[0]:
         return candidate
     if candidate[0] == current[0] and candidate[1] < current[1]:

@@ -4,8 +4,8 @@ Edges are tested level by level against conditioning sets drawn from
 adjacency sets frozen at the start of each level, and deletions are applied
 only once the level completes, so the result does not depend on variable
 order.  For every deleted edge the separating set with the largest p-value
-found at the deleting level is recorded, which also keeps the stored
-sepsets order-free.
+found at the deleting level is recorded (ties prefer the smaller set, the
+rule selection uses), which also keeps the stored sepsets order-free.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
+from .maximize import _better
 from .skeleton_orient import (
     Cpdag,
     Pair,
@@ -58,7 +59,7 @@ def pc_stable_skeleton(
             break
         removals: dict[Pair, SeparationRecord] = {}
         for x, y in edges:
-            best: tuple[float, tuple[str, ...]] | None = None
+            best: tuple[float, tuple[str, ...]] = (-1.0, ())
             tried: set[tuple[str, ...]] = set()
             for a, b in ((x, y), (y, x)):
                 pool = sorted(frozen[a] - {b})
@@ -69,11 +70,9 @@ def pc_stable_skeleton(
                         continue
                     tried.add(cond)
                     p = engine.p_value(x, y, cond)
-                    if p > alpha and (
-                        best is None or p > best[0] or (p == best[0] and cond < best[1])
-                    ):
-                        best = (p, cond)
-            if best is not None:
+                    if p > alpha:
+                        best = _better(best, (p, cond))
+            if best[0] > alpha:
                 removals[(x, y)] = SeparationRecord(witness=best[1], p_value=best[0])
         for (x, y), record in removals.items():
             adjacency[x].discard(y)

@@ -13,7 +13,6 @@ ordinary least squares on their parent encodings.  The criterion is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,21 +40,6 @@ class FitReport:
     total_df: int
     bic: float
     n: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "total_loglik_star": self.total_loglik_star,
-            "total_df": self.total_df,
-            "bic": self.bic,
-            "per_vertex": {
-                v: {"loglik_star": f.loglik_star, "df": f.df}
-                for v, f in sorted(self.per_vertex.items())
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
 def _fit_discrete(data: Dataset, x: str, parents: list[str]) -> LocalFit:

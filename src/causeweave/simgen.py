@@ -15,7 +15,6 @@ summarizes edge discovery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,16 +174,6 @@ def make_discrete_net(
     return DiscreteNet(graph=graph, levels=levels, cpts=cpts)
 
 
-def gen_discrete_net(
-    k: int, max_parents: int, levels: int, n: int, seed: object
-) -> tuple[Dataset, OracleGraph]:
-    """One-shot sample from a fresh random discrete network."""
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    net = make_discrete_net(k, max_parents, levels, seed=base + [0])
-    data = net.sample(n, seed=base + [1])
-    return data, net.graph
-
-
 @dataclass(frozen=True)
 class SimReport:
     """Skeleton-recovery metrics aggregated over replicates.
@@ -212,9 +201,6 @@ class SimReport:
             "auc": self.auc,
             "bic": None if self.bic is None else list(self.bic),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
     def roc_csv(self) -> str:
         """Cutoff curve as two-column CSV (false rate, true rate)."""

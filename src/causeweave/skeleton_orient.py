@@ -75,12 +75,27 @@ class PriorKnowledge:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PriorKnowledge":
+        """Read ``{"tiers": {name: int}, "forbidden": [[a, b]], "required":
+        [[a, b]]}``, every key optional.  Raises ``ValueError`` for anything
+        else: another JSON type, an unknown key, a tier that is not a JSON
+        integer, or a pair that is not two strings."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("prior file must contain a JSON object")
+        unknown = set(raw) - {"tiers", "forbidden", "required"}
+        if unknown:
+            raise ValueError(f"prior file has unknown keys {sorted(unknown)!r}")
+        tiers = raw.get("tiers", {})
+        if not isinstance(tiers, dict):
+            raise ValueError("prior tiers must be a JSON object")
+        for name, tier in tiers.items():
+            if not isinstance(tier, int) or isinstance(tier, bool):
+                raise ValueError(f"tier of {name!r} must be an integer, got {tier!r}")
         return cls(
-            tiers={str(k): int(v) for k, v in raw.get("tiers", {}).items()},
-            forbidden=frozenset((str(a), str(b)) for a, b in raw.get("forbidden", [])),
-            required=frozenset((str(a), str(b)) for a, b in raw.get("required", [])),
+            tiers=tiers,
+            forbidden=_pairs(raw, "forbidden"),
+            required=_pairs(raw, "required"),
         )
 
     def check_consistent(self) -> None:
@@ -137,6 +152,16 @@ class PriorKnowledge:
         if rev and not fwd:
             return (b, a)
         return None
+
+
+def _pairs(raw: dict, key: str) -> frozenset[Pair]:
+    pairs = raw.get(key, [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
+        for p in pairs
+    ):
+        raise ValueError(f"prior {key} must be a list of [name, name] pairs")
+    return frozenset(map(tuple, pairs))
 
 
 @dataclass
@@ -285,8 +310,8 @@ class Cpdag:
     def from_json(cls, text: str) -> "Cpdag":
         return cls.from_json_obj(json.loads(text))
 
-    def to_dot(self, name: str = "learned") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph learned {"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
         for a, b in sorted(self.directed):

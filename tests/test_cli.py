@@ -376,3 +376,84 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "assert 'scipy.stats' not in sys.modules and 'multiprocessing' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def assert_input_error(code, stdout, stderr, error_type, out):
+    assert code == 2 and stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == error_type
+    assert not out.exists()
+
+
+def test_learn_schema_with_tier_exits_2(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(
+        [{"name": v, "kind": "categorical", "levels": ["0", "1"], "tier": 0} for v in "ab"]
+    ))
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n" + "".join(f"{i % 2},{i % 2}\n" for i in range(40)))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", str(data), "--schema", str(schema),
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "SchemaError", out)
+    assert "--prior" in json.loads(stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "prior, error_type",
+    [
+        ({"required": [["X", "Y"], ["Y", "X"]]}, "PriorKnowledgeCycle"),
+        ({"tiers": {"X": 1, "Y": 0}, "required": [["X", "Y"]]}, "PriorKnowledgeCycle"),
+        ([["X", "Y"]], "ValueError"),
+        ({"tiers": {"X": 1.7}}, "ValueError"),
+        ({"tiers": {"X": True}}, "ValueError"),
+        ({"tiers": {"X": "1"}}, "ValueError"),
+        ({"tiers": [["X", 1]]}, "ValueError"),
+        ({"forbiden": [["X", "Y"]]}, "ValueError"),
+        ({"required": [["X"]]}, "ValueError"),
+        ({"required": [["X", 1]]}, "ValueError"),
+        ({"forbidden": "XY"}, "ValueError"),
+    ],
+    ids=[
+        "required-cycle", "required-against-tiers", "array", "float-tier", "bool-tier",
+        "string-tier", "tiers-not-object", "unknown-key", "short-pair", "non-string-pair",
+        "pairs-not-list",
+    ],
+)
+def test_learn_bad_prior_file_exits_2(tmp_path, capsys, example1_file, prior, error_type):
+    prior_path = tmp_path / "prior.json"
+    prior_path.write_text(json.dumps(prior))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", example1_file, "--backend", "injected",
+        "--prior", str(prior_path), "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, error_type, out)
+
+
+@pytest.mark.parametrize("command", ["learn-auto", "learn-gtest", "learn-fisherz", "score"])
+def test_header_only_csv_exits_2(tmp_path, command):
+    # In a fresh process, so that any numpy warning would reach stderr.
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, "kind": "continuous"} for v in "abc"]))
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,c\n")
+    out = tmp_path / "out.json"
+    if command == "score":
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b", "c"]}))
+        argv = ["score", str(graph), "--out", str(out)]
+    else:
+        argv = ["learn", "--backend", command.split("-")[1], "--out", str(out),
+                "--format", "json"]
+    argv += ["--data", str(data), "--schema", str(schema)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "causeweave.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert_input_error(proc.returncode, proc.stdout, proc.stderr, "RowLengthMismatch", out)
+    assert "no data rows" in proc.stderr

@@ -88,8 +88,6 @@ def test_schema_validation():
         VariableSchema(name="v", kind="categorical", levels=("a", "a"))
     with pytest.raises(SchemaError):
         VariableSchema(name="v", kind="continuous", levels=("a", "b"))
-    with pytest.raises(SchemaError):
-        VariableSchema(name="v", kind="categorical", levels=("a", "b"), tier=-1)
 
 
 def test_filter_dominant_drops_rare_variation(tmp_path):

@@ -161,13 +161,3 @@ def test_budget_exceeded(example1_engine):
     with pytest.raises(BudgetExceeded):
         forward_step("X", VARS3, example1_engine, alpha=0.05, budget=2)
 
-
-def test_trace_sink_receives_json_lines(example1_engine, tmp_path):
-    import json
-
-    path = tmp_path / "trace.jsonl"
-    with open(path, "w") as fh:
-        forward_step("X", VARS3, example1_engine, alpha=0.05, trace=fh)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[0] == {"set": [], "extensions": ["Y", "Z"]}
-    assert {tuple(entry["set"]) for entry in lines} == {(), ("Y",), ("Z",)}

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from causeweave import (
     q_value,
     sep_score,
 )
+from causeweave.citest import canonical_key
 from causeweave.errors import EmptyFamily
 from causeweave.forward import CandidateSet, NeighborhoodFamily
 from causeweave.maximize import SepComputer
@@ -30,12 +32,10 @@ def engine_for(table):
     return CIEngine(inject_results(ptable_entries(table)))
 
 
-def family_of(target, members_list, alpha=0.05, m_ci=3):
+def family_of(target, members_list):
     return NeighborhoodFamily(
         target=target,
         family=tuple(CandidateSet(members=tuple(sorted(m))) for m in members_list),
-        alpha=alpha,
-        m_ci=m_ci,
     )
 
 
@@ -163,9 +163,7 @@ def test_selection_invariant_under_monotone_transform(rng):
         warped = {k: float(transform(v)) for k, v in table.items()}
         fam1 = forward_step("T0", names, engine_for(table), alpha=0.4, m_ci=4)
         sel1 = maximization_step("T0", fam1, names, engine_for(table), m_ci=4)
-        fam2 = NeighborhoodFamily(
-            target="T0", family=fam1.family, alpha=0.4, m_ci=4
-        )
+        fam2 = NeighborhoodFamily(target="T0", family=fam1.family)
         sel2 = maximization_step("T0", fam2, names, engine_for(warped), m_ci=4)
         assert sel1.chosen == sel2.chosen
 
@@ -214,3 +212,30 @@ def test_sep_computer_validates_arguments(example1_engine):
         comp.score("X", ())
     with pytest.raises(ValueError):
         comp.score("Y", ("Y",))
+
+
+def test_score_asks_each_capped_subset_exactly_once(rng):
+    # One score asks every subset of n with at most m_ci members, once, and
+    # nothing above the cap; a later score asks only the subsets not yet asked.
+    names = [f"T{i}" for i in range(7)]
+    table = random_ptable(names, rng)
+    n, n2 = ("T2", "T3", "T4", "T5"), ("T4", "T5", "T6")
+
+    def keys(members, m_ci):
+        return {
+            canonical_key("T0", "T1", sub)
+            for size in range(m_ci + 1)
+            for sub in combinations(members, size)
+        }
+
+    for m_ci in (1, 2, 3, 4):
+        engine = engine_for(table)
+        comp = SepComputer("T0", engine, m_ci=m_ci)
+        with engine.trace() as first:
+            comp.score("T1", n)
+        assert len(first) == len(set(first))
+        assert set(first) == keys(n, m_ci)
+        with engine.trace() as second:
+            comp.score("T1", n2)
+        assert len(second) == len(set(second))
+        assert set(second) == keys(n2, m_ci) - keys(n, m_ci)

@@ -4,7 +4,6 @@ import pytest
 from causeweave import (
     LinearSemSpec,
     evaluate_recovery,
-    gen_discrete_net,
     gen_linear_sem,
     make_discrete_net,
 )
@@ -67,7 +66,8 @@ def test_linear_sem_graph_matches_columns():
 
 
 def test_discrete_net_single_vertex():
-    data, dag = gen_discrete_net(k=1, max_parents=2, levels=3, n=500, seed=4)
+    net = make_discrete_net(k=1, max_parents=2, levels=3, seed=[4, 0])
+    data, dag = net.sample(500, seed=[4, 1]), net.graph
     assert dag.edges == frozenset()
     assert set(np.unique(data.columns[data.names[0]])) <= {0, 1, 2}
 
@@ -98,9 +98,10 @@ def test_discrete_net_matches_cpt_product():
 
 
 def test_discrete_net_deterministic():
-    d1, g1 = gen_discrete_net(k=5, max_parents=2, levels=3, n=200, seed=21)
-    d2, g2 = gen_discrete_net(k=5, max_parents=2, levels=3, n=200, seed=21)
-    assert g1.edges == g2.edges
+    n1 = make_discrete_net(k=5, max_parents=2, levels=3, seed=[21, 0])
+    n2 = make_discrete_net(k=5, max_parents=2, levels=3, seed=[21, 0])
+    d1, d2 = n1.sample(200, seed=[21, 1]), n2.sample(200, seed=[21, 1])
+    assert n1.graph.edges == n2.graph.edges
     for name in d1.names:
         assert np.array_equal(d1.columns[name], d2.columns[name])
 

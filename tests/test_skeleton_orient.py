@@ -41,8 +41,6 @@ def scored_selection(target, members, variables, engine):
     family = NeighborhoodFamily(
         target=target,
         family=(CandidateSet(members=tuple(sorted(members))),),
-        alpha=0.05,
-        m_ci=3,
     )
     return maximization_step(target, family, variables, engine)
 
