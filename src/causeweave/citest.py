@@ -24,6 +24,7 @@ import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,28 @@ class AutoBackend:
         return self._gtest.compute(x, y, s)
 
 
+def topological_order(vertices, edges) -> tuple[str, ...]:
+    """Kahn's order of ``vertices`` under the directed ``edges``: a FIFO
+    queue seeded with the sorted sources, each vertex's children released
+    in sorted order.  Vertices on or behind a directed cycle are left out,
+    so the graph is acyclic exactly when the order has every vertex."""
+    children: dict[str, list[str]] = {v: [] for v in vertices}
+    indeg = dict.fromkeys(vertices, 0)
+    for a, b in edges:
+        children[a].append(b)
+        indeg[b] += 1
+    ready = deque(sorted(v for v in vertices if indeg[v] == 0))
+    order: list[str] = []
+    while ready:
+        v = ready.popleft()
+        order.append(v)
+        for c in sorted(children[v]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return tuple(order)
+
+
 @dataclass(frozen=True)
 class OracleGraph:
     """A DAG whose construction certifies acyclicity via a topological order."""
@@ -228,20 +251,10 @@ class OracleGraph:
                 raise ValueError(f"self-loop at {a!r}")
             parents[b].append(a)
             children[a].append(b)
-        # Kahn's algorithm doubles as the acyclicity certificate.
-        indeg = {v: len(parents[v]) for v in self.vertices}
-        ready = deque(sorted(v for v in self.vertices if indeg[v] == 0))
-        order: list[str] = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for c in sorted(children[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
+        order = topological_order(self.vertices, self.edges)
         if len(order) != len(self.vertices):
             raise ValueError("edge set contains a directed cycle")
-        object.__setattr__(self, "topological_order", tuple(order))
+        object.__setattr__(self, "topological_order", order)
         object.__setattr__(self, "_parents", {v: tuple(sorted(p)) for v, p in parents.items()})
         object.__setattr__(self, "_children", {v: tuple(sorted(c)) for v, c in children.items()})
 
@@ -336,26 +349,39 @@ class InjectedBackend:
 
     @classmethod
     def from_entries(cls, entries) -> "InjectedBackend":
-        """Build from an iterable of ``(x, y, s, p)`` tuples or mappings."""
+        """Build from an iterable of ``(x, y, s, p)`` tuples or of mappings
+        with keys ``x``, ``y``, ``p`` and an optional ``s``.  Raises
+        ``ValueError`` for a missing or unknown key, a name that is not a
+        string, ``s`` given as a bare string, a p-value that is not a number
+        in [0, 1], or a query given twice."""
         table: dict[QueryKey, float] = {}
         for entry in entries:
             if isinstance(entry, dict):
-                x, y, s, p = entry["x"], entry["y"], entry.get("s", ()), entry["p"]
-            else:
-                x, y, s, p = entry
+                if not {"x", "y", "p"} <= entry.keys() <= {"x", "y", "s", "p"}:
+                    raise ValueError(f"injected entry needs keys x, y, p and optional s: {entry!r}")
+                entry = (entry["x"], entry["y"], entry.get("s", ()), entry["p"])
+            if not isinstance(entry, (tuple, list)) or len(entry) != 4:
+                raise ValueError(f"injected entry must be (x, y, s, p): {entry!r}")
+            x, y, s, p = entry
+            if not isinstance(s, (tuple, list)) or not all(isinstance(v, str) for v in (x, y, *s)):
+                raise ValueError(f"injected query needs names x, y and a list s: {entry!r}")
+            if not isinstance(p, Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"injected p-value must be a number in [0, 1], got {p!r}")
             key = canonical_key(x, y, tuple(s))
             if key in table:
                 raise ValueError(f"duplicate injected query {key!r}")
-            p = float(p)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"injected p-value out of range: {p}")
-            table[key] = p
+            table[key] = float(p)
         return cls(table)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "InjectedBackend":
+        """Read a JSON array of ``{"x", "y", "s", "p"}`` objects (see
+        ``from_entries``); any other JSON type raises ``ValueError``."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_entries(json.load(fh))
+            raw = json.load(fh)
+        if not isinstance(raw, list):
+            raise ValueError("injected results must be a JSON array")
+        return cls.from_entries(raw)
 
     def variable_names(self) -> tuple[str, ...]:
         names: set[str] = set()

@@ -38,7 +38,9 @@ _INPUT_ERRORS = (
     errors.UnknownVertex,
     errors.PriorKnowledgeCycle,
     FileNotFoundError,
-    json.JSONDecodeError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
     ValueError,
 )
 

@@ -129,7 +129,9 @@ class Dataset:
 
 
 def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
-    """Read a schema file: a JSON array of {name, kind, levels?}.
+    """Read a schema file: a JSON array of ``{"name", "kind", "levels"?}``
+    with string ``name`` and ``kind`` and ``levels`` a JSON array of
+    strings.  Any other key raises ``SchemaError``.
 
     Tiers are prior knowledge and belong in the prior file, not here.
     """
@@ -141,17 +143,17 @@ def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"schema entry missing name/kind: {entry!r}")
+        name, kind, levels = entry["name"], entry["kind"], entry.get("levels", [])
+        if not isinstance(name, str) or not isinstance(kind, str):
+            raise SchemaError(f"schema name and kind must be strings: {entry!r}")
         if "tier" in entry:
-            raise SchemaError(
-                f"{entry['name']}: the schema takes no tier; give tiers in --prior"
-            )
-        out.append(
-            VariableSchema(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
-                levels=tuple(str(v) for v in entry.get("levels", ())),
-            )
-        )
+            raise SchemaError(f"{name}: the schema takes no tier; give tiers in --prior")
+        unknown = set(entry) - {"name", "kind", "levels"}
+        if unknown:
+            raise SchemaError(f"{name}: unknown schema keys {sorted(unknown)!r}")
+        if not isinstance(levels, list) or not all(isinstance(v, str) for v in levels):
+            raise SchemaError(f"{name}: levels must be a JSON array of strings")
+        out.append(VariableSchema(name=name, kind=kind, levels=tuple(levels)))
     return tuple(out)
 
 

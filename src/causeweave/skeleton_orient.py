@@ -22,10 +22,11 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, topological_order
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import DEFAULT_BUDGET, forward_step
 from .maximize import NeighborSelection, _better, maximization_step
@@ -55,7 +56,12 @@ class PriorKnowledge:
 
     A lower tier may cause a higher tier, never the reverse.  ``forbidden``
     directions are never produced; ``required`` pairs are oriented as given
-    whenever the skeleton contains the edge.
+    whenever the skeleton contains the edge.  Construction raises
+    ``ValueError`` unless ``tiers`` maps names to non-negative integers
+    (bools refused) and ``forbidden`` and ``required`` are collections of
+    two-string pairs (a bare string refused) with no pair in both, and
+    ``PriorKnowledgeCycle`` when the required edges and the tier order are
+    jointly cyclic.
     """
 
     tiers: dict[str, int] = field(default_factory=dict)
@@ -63,22 +69,29 @@ class PriorKnowledge:
     required: frozenset[Pair] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forbidden", frozenset(map(tuple, self.forbidden)))
-        object.__setattr__(self, "required", frozenset(map(tuple, self.required)))
+        if not isinstance(self.tiers, Mapping):
+            raise ValueError("prior tiers must map names to integers")
+        for name, tier in self.tiers.items():
+            if not (isinstance(name, str) and type(tier) is int and tier >= 0):
+                raise ValueError(f"tier of {name!r} must be a non-negative integer, got {tier!r}")
+        for key in ("forbidden", "required"):
+            pairs = getattr(self, key)
+            if isinstance(pairs, str) or not isinstance(pairs, Collection) or not all(
+                isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(v, str) for v in p)
+                for p in pairs
+            ):
+                raise ValueError(f"prior {key} must be a collection of [name, name] pairs")
+            object.__setattr__(self, key, frozenset(map(tuple, pairs)))
         overlap = self.required & self.forbidden
         if overlap:
             raise ValueError(f"directions both required and forbidden: {sorted(overlap)}")
-        for tier in self.tiers.values():
-            if not isinstance(tier, int) or tier < 0:
-                raise ValueError(f"tiers must be non-negative integers, got {tier!r}")
         self.check_consistent()
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PriorKnowledge":
         """Read ``{"tiers": {name: int}, "forbidden": [[a, b]], "required":
-        [[a, b]]}``, every key optional.  Raises ``ValueError`` for anything
-        else: another JSON type, an unknown key, a tier that is not a JSON
-        integer, or a pair that is not two strings."""
+        [[a, b]]}``, every key optional.  Raises ``ValueError`` for another
+        JSON type, an unknown key or a value construction refuses."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -86,44 +99,20 @@ class PriorKnowledge:
         unknown = set(raw) - {"tiers", "forbidden", "required"}
         if unknown:
             raise ValueError(f"prior file has unknown keys {sorted(unknown)!r}")
-        tiers = raw.get("tiers", {})
-        if not isinstance(tiers, dict):
-            raise ValueError("prior tiers must be a JSON object")
-        for name, tier in tiers.items():
-            if not isinstance(tier, int) or isinstance(tier, bool):
-                raise ValueError(f"tier of {name!r} must be an integer, got {tier!r}")
-        return cls(
-            tiers=tiers,
-            forbidden=_pairs(raw, "forbidden"),
-            required=_pairs(raw, "required"),
-        )
+        return cls(**raw)
 
     def check_consistent(self) -> None:
-        """Raise when required edges and tiers are jointly cyclic."""
-        for a, b in self.required:
-            ta, tb = self.tiers.get(a), self.tiers.get(b)
-            if ta is not None and tb is not None and ta > tb:
-                raise PriorKnowledgeCycle(
-                    f"required {a!r}->{b!r} contradicts tiers {ta} > {tb}"
-                )
-        adj: dict[str, set[str]] = {}
-        for a, b in self.required:
-            adj.setdefault(a, set()).add(b)
-        seen: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(v: str) -> None:
-            seen[v] = 1
-            for w in sorted(adj.get(v, ())):
-                state = seen.get(w)
-                if state == 1:
-                    raise PriorKnowledgeCycle(f"required edges form a cycle through {w!r}")
-                if state is None:
-                    visit(w)
-            seen[v] = 2
-
-        for v in sorted(adj):
-            if v not in seen:
-                visit(v)
+        """Raise when the required edges and the tier order (an edge from
+        every tiered name to every name of a higher tier) are jointly cyclic."""
+        tiered = self.tiers.items()
+        edges = set(self.required)
+        edges.update((a, b) for a, ta in tiered for b, tb in tiered if ta < tb)
+        names = set(self.tiers).union(*self.required)
+        left = names.difference(topological_order(names, edges))
+        if left:
+            raise PriorKnowledgeCycle(
+                f"required edges and tiers are cyclic; no order places {sorted(left)!r}"
+            )
 
     def check(self, vertices) -> None:
         """Raise ``PriorKnowledgeCycle`` when the prior is inconsistent and
@@ -142,10 +131,6 @@ class PriorKnowledge:
 
     def forced_direction(self, a: str, b: str) -> Pair | None:
         """The unique permitted direction for edge a-b, if there is one."""
-        if (a, b) in self.required:
-            return (a, b)
-        if (b, a) in self.required:
-            return (b, a)
         fwd, rev = self.allows(a, b), self.allows(b, a)
         if fwd and not rev:
             return (a, b)
@@ -154,14 +139,18 @@ class PriorKnowledge:
         return None
 
 
-def _pairs(raw: dict, key: str) -> frozenset[Pair]:
-    pairs = raw.get(key, [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
-        for p in pairs
-    ):
-        raise ValueError(f"prior {key} must be a list of [name, name] pairs")
-    return frozenset(map(tuple, pairs))
+# The rows of each graph JSON key, field by field, and what each field holds.
+_JSON_ROWS = {
+    "directed": ("name", "name"),
+    "undirected": ("name", "name"),
+    "significance": ("name", "name", "p"),
+    "sepsets": ("name", "name", "names", "p"),
+}
+_JSON_FIELD = {
+    "name": lambda v: isinstance(v, str),
+    "names": lambda v: isinstance(v, list) and all(isinstance(u, str) for u in v),
+    "p": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
 
 
 @dataclass
@@ -246,21 +235,7 @@ class Cpdag:
         return False
 
     def is_acyclic(self) -> bool:
-        children: dict[str, list[str]] = {v: [] for v in self.vertices}
-        indeg = {v: 0 for v in self.vertices}
-        for a, b in self.directed:
-            children[a].append(b)
-            indeg[b] += 1
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        done = 0
-        while ready:
-            v = ready.pop()
-            done += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        return done == len(self.vertices)
+        return len(topological_order(self.vertices, self.directed)) == len(self.vertices)
 
     def copy(self) -> "Cpdag":
         return Cpdag(
@@ -292,7 +267,26 @@ class Cpdag:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Cpdag":
+    def from_json(cls, text: str) -> "Cpdag":
+        """Parse :meth:`to_json` output.  Raises ``ValueError`` unless the
+        document is an object with a ``vertices`` array of names, no other
+        keys than ``to_json`` writes, and rows of the shape it writes: names
+        where names go, a number for a p-value and an array of names (never a
+        bare string) for a witness."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or not _JSON_FIELD["names"](obj.get("vertices")):
+            raise ValueError("graph JSON must be an object with a vertices array of names")
+        unknown = set(obj) - {"vertices", *_JSON_ROWS}
+        if unknown:
+            raise ValueError(f"graph JSON has unknown keys {sorted(unknown)!r}")
+        for key, shape in _JSON_ROWS.items():
+            rows = obj.get(key, [])
+            if not isinstance(rows, list) or not all(
+                isinstance(r, list) and len(r) == len(shape)
+                and all(_JSON_FIELD[c](v) for c, v in zip(shape, r))
+                for r in rows
+            ):
+                raise ValueError(f"graph {key} must be an array of [{', '.join(shape)}] rows")
         return cls(
             vertices=tuple(obj["vertices"]),
             directed={(a, b) for a, b in obj.get("directed", [])},
@@ -305,10 +299,6 @@ class Cpdag:
                 for a, b, w, p in obj.get("sepsets", [])
             },
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Cpdag":
-        return cls.from_json_obj(json.loads(text))
 
     def to_dot(self) -> str:
         lines = ["digraph learned {"]

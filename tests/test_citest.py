@@ -180,6 +180,8 @@ def test_injected_backend_contract():
         CIEngine(InjectedBackend.from_entries([])).test("X", "Y")
     with pytest.raises(ValueError, match="duplicate"):
         InjectedBackend.from_entries([("X", "Y", (), 0.5), ("Y", "X", (), 0.5)])
+    # Python tuples take any sequence of names for s and an int p.
+    assert InjectedBackend.from_entries([("X", "Z", ["Y"], 1)]).table == {("X", "Z", ("Y",)): 1.0}
 
 
 def test_example1_rejection_pattern(example1_engine):

@@ -416,11 +416,15 @@ def test_learn_schema_with_tier_exits_2(tmp_path, capsys):
         ({"required": [["X"]]}, "ValueError"),
         ({"required": [["X", 1]]}, "ValueError"),
         ({"forbidden": "XY"}, "ValueError"),
+        (
+            {"tiers": {"X": 0, "Y": 1}, "required": [["Y", "Z"], ["Z", "X"]]},
+            "PriorKnowledgeCycle",
+        ),
     ],
     ids=[
         "required-cycle", "required-against-tiers", "array", "float-tier", "bool-tier",
         "string-tier", "tiers-not-object", "unknown-key", "short-pair", "non-string-pair",
-        "pairs-not-list",
+        "pairs-not-list", "required-chain-against-tiers",
     ],
 )
 def test_learn_bad_prior_file_exits_2(tmp_path, capsys, example1_file, prior, error_type):
@@ -457,3 +461,115 @@ def test_header_only_csv_exits_2(tmp_path, command):
     )
     assert_input_error(proc.returncode, proc.stdout, proc.stderr, "RowLengthMismatch", out)
     assert "no data rows" in proc.stderr
+
+
+def write_ab_data(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n" + "".join(f"{i % 2},{i % 2}\n" for i in range(40)))
+    return data
+
+
+BINARY = {"kind": "categorical", "levels": ["0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "a", **BINARY, "level": ["x"]},
+        {"name": "a", "kind": "categorical", "levels": "01"},
+        {"name": "a", "kind": "categorical", "levels": [0, 1]},
+        {"name": "a", "kind": "categorical", "levels": {"0": 1, "1": 2}},
+        {"name": 1, **BINARY},
+        {"name": "a", "kind": ["categorical"], "levels": ["0", "1"]},
+    ],
+    ids=[
+        "unknown-key", "levels-string", "levels-numbers", "levels-object",
+        "name-not-string", "kind-not-string",
+    ],
+)
+def test_learn_malformed_schema_entry_exits_2(tmp_path, capsys, entry):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([entry, {"name": "b", **BINARY}]))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", str(write_ab_data(tmp_path)), "--schema", str(schema),
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "SchemaError", out)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"x": "X", "y": "Y", "s": []}],
+        [{"x": "X", "y": "Y", "s": "CD", "p": 0.5}],
+        {"XYZ0": 1},
+        [{"x": "X", "y": "Y", "s": [], "p": 0.5, "q": 1}],
+        [{"x": "X", "y": "Y", "s": [], "p": "0.5"}],
+        [{"x": "X", "y": 1, "s": [], "p": 0.5}],
+        ["XY.5"],
+    ],
+    ids=[
+        "missing-p", "string-s", "object", "unknown-key", "string-p", "non-string-name",
+        "string-entry",
+    ],
+)
+def test_learn_bad_injected_file_exits_2(tmp_path, capsys, doc):
+    data = tmp_path / "injected.json"
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", str(data), "--backend", "injected",
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "ValueError", out)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [["a", "b"]],
+        {"directed": [["a", "b"]]},
+        {"vertices": "ab"},
+        {"vertices": ["a", "b", "cd"], "sepsets": [["a", "b", "cd", 0.5]]},
+        {"vertices": ["a", "b"], "directed": ["ab"]},
+        {"vertices": ["a", "b"], "undirected": [["a", "b"]], "significance": [["a", "b"]]},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+    ],
+    ids=[
+        "array", "no-vertices", "vertices-string", "witness-string", "edge-string",
+        "short-significance", "unknown-key",
+    ],
+)
+@pytest.mark.parametrize("command", ["export", "score"])
+def test_malformed_graph_json_exits_2(tmp_path, capsys, doc, command):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [command, str(graph), "--out", str(out)]
+    if command == "score":
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+        argv += ["--data", str(write_ab_data(tmp_path)), "--schema", str(schema)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert_input_error(code, stdout, stderr, "ValueError", out)
+
+
+@pytest.mark.parametrize("which", ["data", "injected-data", "schema", "prior", "graph"])
+def test_directory_path_exits_2(tmp_path, capsys, example1_file, which):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+    data = write_ab_data(tmp_path)
+    out = tmp_path / "out.json"
+    argv = {
+        "data": ["learn", "--data", str(folder), "--schema", str(schema)],
+        "injected-data": ["learn", "--data", str(folder), "--backend", "injected"],
+        "schema": ["learn", "--data", str(data), "--schema", str(folder)],
+        "prior": ["learn", "--data", example1_file, "--backend", "injected",
+                  "--prior", str(folder)],
+        "graph": ["export", str(folder)],
+    }[which]
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out), "--format", "json")
+    assert_input_error(code, stdout, stderr, "IsADirectoryError", out)

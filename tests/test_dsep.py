@@ -1,8 +1,11 @@
+import networkx as nx
 import pytest
 
 from causeweave import CIEngine, OracleBackend, OracleGraph, d_sep
+from causeweave.citest import topological_order
 from causeweave.errors import UnknownVertex
-from causeweave.simgen import random_dag
+from causeweave.simgen import make_discrete_net, random_dag
+from causeweave.skeleton_orient import Cpdag
 from oracle_helpers import all_subsets, brute_force_dsep
 
 
@@ -46,6 +49,47 @@ def test_topological_order_certificate():
     g = graph([("A", "B"), ("B", "C"), ("A", "C")])
     order = {v: i for i, v in enumerate(g.topological_order)}
     assert all(order[a] < order[b] for a, b in g.edges)
+
+
+def test_acyclicity_checks_agree_with_networkx(rng):
+    # Random directed edge sets, 2-cycles included, on 3-8 vertices.
+    verdicts = []
+    for _ in range(200):
+        k = int(rng.integers(3, 9))
+        vs = tuple(f"V{i}" for i in range(k))
+        edges = frozenset(
+            (a, b) for a in vs for b in vs if a != b and rng.random() < 0.6 / (k - 1)
+        )
+        reference = nx.DiGraph(list(edges))
+        reference.add_nodes_from(vs)
+        acyclic = nx.is_directed_acyclic_graph(reference)
+        cpdag = Cpdag(vertices=vs)
+        cpdag.directed = set(edges)
+        assert cpdag.is_acyclic() == acyclic
+        try:
+            OracleGraph(vertices=vs, edges=edges)
+            built = True
+        except ValueError as exc:
+            assert "cycle" in str(exc)
+            built = False
+        assert built == acyclic
+        order = topological_order(vs, edges)
+        assert (len(order) == k) == acyclic
+        # A placed vertex comes after every parent: each edge into it runs forward.
+        pos = {v: i for i, v in enumerate(order)}
+        assert all(a in pos and pos[a] < pos[b] for a, b in edges if b in pos)
+        verdicts.append(acyclic)
+    assert 20 < sum(verdicts) < 180
+
+
+def test_topological_order_is_pinned():
+    # FIFO queue, sorted sources, children in sorted order; a heap in place
+    # of the queue gives another order on this graph.
+    order = make_discrete_net(20, 3, 2, seed=[0, 0]).graph.topological_order
+    assert order == (
+        "V03", "V04", "V06", "V10", "V11", "V16", "V18", "V19", "V09", "V02",
+        "V13", "V00", "V08", "V14", "V07", "V12", "V15", "V17", "V05", "V01",
+    )
 
 
 def test_dsep_matches_path_enumeration(rng):

@@ -145,14 +145,44 @@ def test_prior_knowledge_cycles_rejected():
         PriorKnowledge(required=frozenset({("A", "B"), ("B", "C"), ("C", "A")}))
     with pytest.raises(PriorKnowledgeCycle):
         PriorKnowledge(tiers={"A": 1, "B": 0}, required=frozenset({("A", "B")}))
+    # Y->Z->X required while tier 0 (X) must precede tier 1 (Y): a cycle
+    # through both the required edges and the tier order.
+    with pytest.raises(PriorKnowledgeCycle):
+        PriorKnowledge(tiers={"X": 0, "Y": 1}, required=frozenset({("Y", "Z"), ("Z", "X")}))
     with pytest.raises(ValueError):
         PriorKnowledge(required=frozenset({("A", "B")}), forbidden=frozenset({("A", "B")}))
 
 
-def _cyclic_prior():
+def test_forbidden_direction_can_close_a_required_cycle_in_orient():
+    # The prior alone is consistent, but on the triangle the forbidden A->B
+    # forces B->A, which with the required A->C closes C->B into a cycle.
+    pk = PriorKnowledge(
+        forbidden=frozenset({("A", "B")}), required=frozenset({("A", "C"), ("C", "B")})
+    )
+    g = undirected_graph("ABC", [("A", "B"), ("A", "C"), ("B", "C")])
+    with pytest.raises(PriorKnowledgeCycle, match="cannot be committed"):
+        orient(g, pk, {})
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tiers": {"A": True}}, "non-negative integer"),
+        ({"tiers": {"A": -1}}, "non-negative integer"),
+        ({"required": {("A", "B", "C")}}, "pairs"),
+        ({"forbidden": "AB"}, "pairs"),
+    ],
+    ids=["bool-tier", "negative-tier", "triple", "bare-string"],
+)
+def test_prior_knowledge_values_rejected_at_construction(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        PriorKnowledge(**kwargs)
+
+
+def _altered_prior(tiers, required):
     # Construction refuses a cycle, so only a prior altered afterwards has one.
-    pk = PriorKnowledge(required=frozenset({("X", "Y")}))
-    object.__setattr__(pk, "required", frozenset({("X", "Y"), ("Y", "X")}))
+    pk = PriorKnowledge(tiers=tiers)
+    object.__setattr__(pk, "required", frozenset(required))
     return pk
 
 
@@ -162,9 +192,10 @@ def _cyclic_prior():
     [
         (PriorKnowledge(tiers={"Xx": 0}), UnknownVertex),
         (PriorKnowledge(forbidden=frozenset({("Q", "X")})), UnknownVertex),
-        (_cyclic_prior(), PriorKnowledgeCycle),
+        (_altered_prior({}, {("X", "Y"), ("Y", "X")}), PriorKnowledgeCycle),
+        (_altered_prior({"X": 0, "Y": 1}, {("Y", "Z"), ("Z", "X")}), PriorKnowledgeCycle),
     ],
-    ids=["unknown-tier", "unknown-forbidden", "cyclic-required"],
+    ids=["unknown-tier", "unknown-forbidden", "cyclic-required", "required-chain-against-tiers"],
 )
 def test_bad_prior_raises_before_any_query(example1_engine, learner, prior, error):
     with example1_engine.trace() as log:
