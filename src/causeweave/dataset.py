@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -158,7 +159,13 @@ def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
 
 
 def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -> Dataset:
-    """Encode raw cell values (labels / numbers) into a Dataset."""
+    """Encode raw cell values (labels / numbers) into a Dataset.
+
+    Each column is encoded in one pass, which looks discrete cells up as
+    they are (CSV cells are strings).  Only when that pass fails is the
+    column walked cell by cell, which converts a discrete cell with ``str``
+    first, and names the first bad cell and its row.
+    """
     columns: dict[str, np.ndarray] = {}
     n = None
     for var in schema:
@@ -169,23 +176,15 @@ def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -
             n = len(cells)
         if var.is_discrete:
             index = {label: i for i, label in enumerate(var.levels)}
-            enc = np.empty(len(cells), dtype=np.int64)
-            for i, cell in enumerate(cells):
-                try:
-                    enc[i] = index[str(cell)]
-                except KeyError:
-                    raise UnknownLevel(
-                        f"{var.name}: value {cell!r} (row {i + 1}) is not a declared level"
-                    ) from None
+            try:
+                enc = np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells))
+            except (KeyError, TypeError):
+                enc = _encode_levels(var, index, cells)
         else:
-            enc = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                try:
-                    enc[i] = float(cell)
-                except (TypeError, ValueError):
-                    raise UnknownLevel(
-                        f"{var.name}: value {cell!r} (row {i + 1}) is not numeric"
-                    ) from None
+            try:
+                enc = np.fromiter(map(float, cells), np.float64, count=len(cells))
+            except (TypeError, ValueError):
+                enc = _encode_numbers(var, cells)
             bad = np.flatnonzero(~np.isfinite(enc))
             if bad.size:
                 i = int(bad[0])
@@ -196,6 +195,30 @@ def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -
     return Dataset(schema=schema, columns=columns, n=n or 0)
 
 
+def _encode_levels(var: VariableSchema, index: dict[str, int], cells) -> np.ndarray:
+    enc = np.empty(len(cells), dtype=np.int64)
+    for i, cell in enumerate(cells):
+        try:
+            enc[i] = index[str(cell)]
+        except KeyError:
+            raise UnknownLevel(
+                f"{var.name}: value {cell!r} (row {i + 1}) is not a declared level"
+            ) from None
+    return enc
+
+
+def _encode_numbers(var: VariableSchema, cells) -> np.ndarray:
+    enc = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        try:
+            enc[i] = float(cell)
+        except (TypeError, ValueError):
+            raise UnknownLevel(
+                f"{var.name}: value {cell!r} (row {i + 1}) is not numeric"
+            ) from None
+    return enc
+
+
 def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     """Load a headered, RFC-4180 CSV against a schema file.
 
@@ -204,6 +227,9 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     level indices in schema order; continuous cells must be finite numbers.
     There is no imputation, so missingness must be declared as an explicit
     level upstream.  A file with a header and no data rows is refused.
+
+    The schema's cells of each row are read once and transposed once, so
+    each column is encoded in a single pass (see ``from_raw``).
 
     Raises
     ------
@@ -224,18 +250,22 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
                 col_pos[var.name] = header.index(var.name)
             except ValueError:
                 raise MissingColumn(f"CSV header lacks column {var.name!r}") from None
-        raw: dict[str, list[str]] = {name: [] for name in col_pos}
-        row_no = 0
+        # Each row keeps only the schema's cells (itemgetter of a single
+        # position would return the cell itself, not a sequence of one).
+        keep = list(col_pos.values())
+        pick = operator.itemgetter(*keep) if len(keep) > 1 else lambda row: [row[p] for p in keep]
+        rows = []
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise RowLengthMismatch(
                     f"row {row_no}: {len(row)} cells, header has {len(header)}"
                 )
-            for name, pos in col_pos.items():
-                raw[name].append(row[pos])
-    if row_no == 0:
+            rows.append(pick(row))
+    if not rows:
         raise RowLengthMismatch("empty CSV: no data rows")
-    return from_raw(schema, raw)
+    cells = list(zip(*rows))
+    del rows  # the cells stay referenced once, by column
+    return from_raw(schema, dict(zip(col_pos, cells)))
 
 
 def filter_dominant(data: Dataset, threshold: float = 0.99) -> Dataset:
@@ -313,11 +343,14 @@ def joint_codes(columns: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarr
     """Row-major joint cell index over ``(codes, n_levels)`` pairs.
 
     The first column varies slowest.  ``n`` is the row count, needed when
-    ``columns`` is empty (every row then falls in the single cell 0).
+    ``columns`` is empty (every row then falls in the single cell 0).  The
+    index is built in place in one fresh ``int64`` array, so no temporary
+    is made per column and the input code arrays are left untouched.
     """
     flat = np.zeros(n, dtype=np.int64)
     n_cells = 1
     for codes, levels in columns:
-        flat = flat * levels + codes
+        flat *= levels
+        flat += codes
         n_cells *= levels
     return flat, n_cells

@@ -58,14 +58,16 @@ class SepComputer:
     most ``m_ci`` members, of the p-value of ``anchor`` against ``other``
     given the subset, together with the witness subset attaining it; ties
     prefer the lexicographically smallest witness.  The p-value of each
-    (other, subset) is asked of the engine at most once per computer.
+    (other, subset) is asked of the engine at most once per computer: one
+    ``score`` asks for all of its subsets missing from the memo in a single
+    ``CIEngine.p_values`` batch, in the order a one-by-one loop would.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
         self.anchor = anchor
         self.engine = engine
         self.m_ci = m_ci
-        self._p: dict[tuple[str, Witness], float] = {}
+        self._p: dict[str, dict[Witness, float]] = {}
 
     def score(self, other: str, n) -> tuple[float, Witness]:
         n = sorted(set(n))
@@ -73,12 +75,21 @@ class SepComputer:
             raise ValueError(
                 f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
             )
+        memo = self._p.setdefault(other, {})
         best = (-1.0, ())
+        missing = []
         for size in range(min(len(n), self.m_ci) + 1):
             for sub in combinations(n, size):
-                p = self._p.get((other, sub))
+                p = memo.get(sub)
                 if p is None:
-                    p = self._p[(other, sub)] = self.engine.p_value(self.anchor, other, sub)
+                    missing.append(sub)
+                else:
+                    best = _better(best, (p, sub))
+        # _better is a maximum under one total order, so visiting the
+        # batch's subsets last picks the same winner.
+        if missing:
+            for sub, p in zip(missing, self.engine.p_values(self.anchor, other, missing)):
+                memo[sub] = p
                 best = _better(best, (p, sub))
         return best
 

@@ -59,7 +59,8 @@ class PriorKnowledge:
     whenever the skeleton contains the edge.  Construction raises
     ``ValueError`` unless ``tiers`` maps names to non-negative integers
     (bools refused) and ``forbidden`` and ``required`` are collections of
-    two-string pairs (a bare string refused) with no pair in both, and
+    two-string pairs (a bare string refused) with no pair in both and no
+    forbidden direction that is the only one the tiers allow, and
     ``PriorKnowledgeCycle`` when the required edges and the tier order are
     jointly cyclic.
     """
@@ -102,11 +103,21 @@ class PriorKnowledge:
         return cls(**raw)
 
     def check_consistent(self) -> None:
-        """Raise when the required edges and the tier order (an edge from
-        every tiered name to every name of a higher tier) are jointly cyclic."""
+        """Raise ``ValueError`` when a forbidden direction is the only one
+        the tiers allow, so the edge could be oriented neither way, and
+        ``PriorKnowledgeCycle`` when the required edges and the tier order
+        (an edge from every tiered name to every name of a higher tier) are
+        jointly cyclic."""
         tiered = self.tiers.items()
-        edges = set(self.required)
-        edges.update((a, b) for a, ta in tiered for b, tb in tiered if ta < tb)
+        edges = {(a, b) for a, ta in tiered for b, tb in tiered if ta < tb}
+        against = sorted(self.forbidden & edges)
+        if against:
+            a, b = against[0]
+            raise ValueError(
+                f"forbidden {a!r}->{b!r} leaves no direction for {a!r}-{b!r}: "
+                f"the tiers forbid {b!r}->{a!r}"
+            )
+        edges.update(self.required)
         names = set(self.tiers).union(*self.required)
         left = names.difference(topological_order(names, edges))
         if left:
@@ -193,6 +204,19 @@ class Cpdag:
         for p in self.edge_significance.values():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge significance out of range: {p}")
+        vset = set(self.vertices)
+        for (a, b), rec in self.sepsets.items():
+            if a == b or a not in vset or b not in vset:
+                raise ValueError(f"sepset for ({a!r}, {b!r}), not a pair of graph vertices")
+            if (a, b) in present or (b, a) in present:
+                raise ValueError(f"sepset recorded for adjacent pair ({a!r}, {b!r})")
+            if any(v in (a, b) or v not in vset for v in rec.witness):
+                raise ValueError(
+                    f"sepset of ({a!r}, {b!r}) has witness {list(rec.witness)!r} naming "
+                    "an endpoint or an unknown vertex"
+                )
+            if not 0.0 <= rec.p_value <= 1.0:
+                raise ValueError(f"sepset p-value out of range: {rec.p_value}")
 
     # -- structure queries -------------------------------------------------
 

@@ -186,3 +186,33 @@ def count_rows(data, names) -> dict:
         key = tuple(int(c[row]) for c in cols)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+# -- differential replay -------------------------------------------------------
+
+
+def cache_dump(engine) -> dict:
+    """Every result in ``engine``'s cache by canonical key, as ``(p.hex(),
+    statistic.hex(), dof, low_power)``: two dumps are equal exactly when
+    the two engines hold the same queries with bitwise-equal results."""
+    return {
+        key: (float(r.p_value).hex(), float(r.statistic).hex(), r.dof, r.low_power)
+        for key, r in engine.cache._store.items()
+    }
+
+
+def dump_differences(first: dict, second: dict) -> list[str]:
+    """One line per key held by one dump only or valued differently."""
+    lines = [f"only in first: {key}" for key in sorted(first.keys() - second.keys())]
+    lines += [f"only in second: {key}" for key in sorted(second.keys() - first.keys())]
+    lines += [
+        f"{key}: {first[key]} != {second[key]}"
+        for key in sorted(first.keys() & second.keys())
+        if first[key] != second[key]
+    ]
+    return lines
+
+
+def assert_same_dumps(first: dict, second: dict) -> None:
+    lines = dump_differences(first, second)
+    assert not lines, f"{len(lines)} cache entries differ:\n" + "\n".join(lines[:10])

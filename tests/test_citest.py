@@ -301,3 +301,90 @@ def test_special_matches_stats_at_edges():
         for statistic in (0.0, 3.84, 1e3, 1e6):
             got = float(special.chdtrc(dof, statistic))
             assert got.hex() == float(stats.chi2.sf(statistic, dof)).hex()
+
+
+def bits(res):
+    return (res.p_value.hex(), float(res.statistic).hex(), res.dof, res.low_power, res.backend)
+
+
+def edge_case_data(rng, n):
+    """Columns of 2-4 levels plus the awkward ones: a constant column, a
+    continuous column with tied quantile edges, a declared level no row has."""
+    cols = {name: rng.integers(0, k, size=n) for name, k in zip("abcde", (2, 3, 4, 3, 2))}
+    schema = [VariableSchema(name, "categorical", ("0", "1", "2", "3")) for name in cols]
+    raw = {name: [str(v) for v in col] for name, col in cols.items()}
+    schema.append(VariableSchema("k", "categorical", ("0", "1")))
+    raw["k"] = ["1"] * n
+    schema.append(VariableSchema("t", "continuous"))
+    raw["t"] = [float(v) for v in rng.choice([0.0, 0.0, 0.0, 1.0, 2.0], size=n)]
+    schema.append(VariableSchema("u", "continuous"))
+    raw["u"] = list(rng.normal(size=n))
+    return from_raw(tuple(schema), raw)
+
+
+def random_subsets(rng, names, count):
+    out = [()]
+    for _ in range(count):
+        size = int(rng.integers(0, 4))
+        sub = tuple(rng.choice(names, size=size, replace=False).tolist())
+        # Canonical (sorted) subsets, and some in another order.
+        out.append(sub if rng.random() < 0.3 else tuple(sorted(sub)))
+    return out
+
+
+@pytest.mark.parametrize("n", [3000, 40], ids=["large", "low-power"])
+@pytest.mark.parametrize("backend_kind", ["gtest", "auto"])
+def test_compute_many_equals_compute_bitwise(rng, n, backend_kind):
+    data = edge_case_data(rng, n)
+    assert data.codes("t")[1] < 5 and data.codes("k")[1] == 1
+    backend = make_backend(data, backend_kind)
+    pairs = [("a", "b"), ("k", "c"), ("t", "d"), ("u", "t"), ("e", "u")]
+    low_power = 0
+    for x, y in pairs:
+        rest = [v for v in data.names if v not in (x, y)]
+        for trial in range(4):
+            subsets = random_subsets(rng, rest, 12)
+            if trial == 0:
+                # Nested chains as well as disjoint sets.
+                subsets += [tuple(rest[:3]), tuple(rest[:2]), tuple(rest[1:2]), tuple(rest[3:6])]
+            got = backend.compute_many(x, y, subsets)
+            expected = [backend.compute(x, y, s) for s in subsets]
+            assert list(map(bits, got)) == list(map(bits, expected)), (x, y, subsets)
+            low_power += sum(r.low_power for r in got)
+    assert (low_power > 0) == (n == 40)
+    assert backend.compute_many("a", "b", []) == []
+
+
+def test_p_values_matches_one_by_one_tests(rng):
+    data = edge_case_data(rng, 500)
+    batches = [
+        ("a", "b", [(), ("c",), ("c", "d"), ("d", "c"), ("c",), ("e", "k", "t")]),
+        ("b", "a", [("c",), ("t",), ()]),
+        ("u", "t", [("a",), (), ("a", "b")]),
+        ("t", "u", []),
+        ("u", "t", [("a", "b"), ("e",)]),
+    ]
+    batched = CIEngine(make_backend(data, "auto"))
+    single = CIEngine(make_backend(data, "auto"))
+    with batched.trace() as batched_log, single.trace() as single_log:
+        for x, y, subsets in batches:
+            got = batched.p_values(x, y, subsets)
+            assert got == [single.p_value(x, y, s) for s in subsets]
+    assert batched_log == single_log
+    assert list(batched.cache._store) == list(single.cache._store)
+    assert (batched.cache.hits, batched.cache.misses) == (single.cache.hits, single.cache.misses)
+    assert batched.cache.hits == 5
+    with pytest.raises(ValueError, match="contains a query variable"):
+        batched.p_values("a", "b", [("c",), ("a",)])
+    with pytest.raises(ValueError, match="must differ"):
+        batched.p_values("a", "a", [()])
+
+
+def test_p_values_loops_over_a_backend_without_compute_many():
+    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
+    assert not hasattr(engine.backend, "compute_many")
+    assert engine.p_values("Y", "X", [(), ("Z",)]) == [0.01, 0.30]
+    # The first uninjected query raises, after the ones before it are stored.
+    with pytest.raises(UninjectedQuery, match="'W'"):
+        engine.p_values("Y", "Z", [(), ("W",), ("V",)])
+    assert ("Y", "Z", ()) in engine.cache._store

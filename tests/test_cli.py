@@ -555,6 +555,54 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys, doc, command):
     assert_input_error(code, stdout, stderr, "ValueError", out)
 
 
+@pytest.mark.parametrize(
+    "sepsets, undirected",
+    [
+        ([["a", "q", [], 0.5]], []),
+        ([["a", "b", ["zz"], 0.5]], []),
+        ([["a", "b", ["a"], 0.5]], []),
+        ([["a", "b", [], 2.0]], []),
+        ([["a", "b", [], -0.5]], []),
+        ([["a", "b", [], 0.5]], [["a", "b"]]),
+    ],
+    ids=[
+        "unknown-vertex", "unknown-witness", "endpoint-witness", "p-above-one",
+        "p-below-zero", "adjacent-pair",
+    ],
+)
+@pytest.mark.parametrize("command", ["export", "score"])
+def test_graph_json_with_bad_sepset_exits_2(tmp_path, capsys, sepsets, undirected, command):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(
+        {"vertices": ["a", "b"], "undirected": undirected, "sepsets": sepsets}
+    ))
+    out = tmp_path / "out.json"
+    argv = [command, str(graph), "--out", str(out)]
+    if command == "score":
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+        argv += ["--data", str(write_ab_data(tmp_path)), "--schema", str(schema)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert_input_error(code, stdout, stderr, "ValueError", out)
+    assert "sepset" in json.loads(stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
+def test_learn_prior_forbidding_the_only_tier_direction_exits_2(
+    tmp_path, capsys, example1_file, algorithm
+):
+    prior_path = tmp_path / "prior.json"
+    prior_path.write_text(json.dumps({"tiers": {"Z": 0, "Y": 1}, "forbidden": [["Z", "Y"]]}))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", example1_file, "--backend", "injected",
+        "--algorithm", algorithm, "--prior", str(prior_path), "--out", str(out),
+        "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "ValueError", out)
+    assert "leaves no direction" in json.loads(stderr)["error"]["message"]
+
+
 @pytest.mark.parametrize("which", ["data", "injected-data", "schema", "prior", "graph"])
 def test_directory_path_exits_2(tmp_path, capsys, example1_file, which):
     folder = tmp_path / "folder"

@@ -202,3 +202,99 @@ def test_encode_decode_round_trip(col):
     labels, cells = col
     data = from_raw((VariableSchema("a", "categorical", labels),), {"a": cells})
     assert data.decode()["a"] == cells
+
+
+def survey_rows(n):
+    return [f"{('yes', 'no')[i % 2]},{('low', 'mid', 'high')[i % 3]},{i * 0.25}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({7000: "Maybe,mid,1.0"}, "a: value 'Maybe' (row 7000) is not a declared level"),
+        ({7000: "yes,mid,oops"}, "c: value 'oops' (row 7000) is not numeric"),
+        ({7000: "yes,mid,nan"}, "c: value 'nan' (row 7000) is not finite"),
+        # Columns are checked in schema order, each down to its first bad cell.
+        ({7000: "yes,mid,oops", 9000: "no,huge,1.0"},
+         "b: value 'huge' (row 9000) is not a declared level"),
+        ({7000: "yes,mid,inf", 7500: "yes,mid,oops"}, "c: value 'oops' (row 7500) is not numeric"),
+    ],
+    ids=["bad-level", "non-numeric", "nan", "first-column-first", "numeric-before-finite"],
+)
+def test_load_csv_error_deep_in_a_large_file(tmp_path, bad, message):
+    rows = survey_rows(10000)
+    for row_no, row in bad.items():
+        rows[row_no - 1] = row
+    with pytest.raises(UnknownLevel) as exc:
+        load_csv(*write_inputs(tmp_path, rows))
+    assert str(exc.value) == message
+
+
+def test_load_csv_large_file_matches_cell_by_cell_encoding(tmp_path):
+    rows = survey_rows(10000)
+    data = load_csv(*write_inputs(tmp_path, rows))
+    cells = [row.split(",") for row in rows]
+    expected = {
+        "a": [("yes", "no").index(r[0]) for r in cells],
+        "b": [("low", "mid", "high").index(r[1]) for r in cells],
+        "c": [float(r[2]) for r in cells],
+    }
+    for name, values in expected.items():
+        col = data.columns[name]
+        assert col.dtype == (np.float64 if name == "c" else np.int64)
+        assert col.tolist() == values
+
+
+def test_load_csv_quoted_cell_with_comma(tmp_path):
+    schema = [{"name": "a", "kind": "categorical", "levels": ["x,y", "z"]}, SCHEMA3[2]]
+    paths = write_inputs(tmp_path, ['"x,y",1.5', 'z,"2.5"', '"x,y",-1'], schema, header="a,c")
+    data = load_csv(*paths)
+    assert data.decode() == {"a": ["x,y", "z", "x,y"], "c": [1.5, 2.5, -1.0]}
+
+
+def test_load_csv_ignores_extra_column(tmp_path):
+    # The extra column holds cells no schema variable would accept.
+    rows = ["yes,not a number,low,1.5", "no,,mid,2.0"]
+    data = load_csv(*write_inputs(tmp_path, rows, header="a,extra,b,c"))
+    assert data.decode() == {"a": ["yes", "no"], "b": ["low", "mid"], "c": [1.5, 2.0]}
+
+
+@pytest.mark.parametrize("names", [["c"], ["b"], ["c", "a"], []])
+def test_load_csv_reads_one_or_reordered_schema_columns_of_a_wide_file(tmp_path, names):
+    schema = [v for name in names for v in SCHEMA3 if v["name"] == name]
+    rows = ["x1,yes,low,x2,1.5,x3", "y1,no,mid,y2,2.0,y3", "z1,yes,high,z2,-1,z3"]
+    data = load_csv(*write_inputs(tmp_path, rows, schema, header="e1,a,b,e2,c,e3"))
+    full = {"a": ["yes", "no", "yes"], "b": ["low", "mid", "high"], "c": [1.5, 2.0, -1.0]}
+    assert data.names == tuple(names)
+    assert data.decode() == {name: full[name] for name in names}
+    assert data.n == (3 if names else 0)
+
+
+def test_from_raw_converts_python_and_numpy_cells():
+    schema = (
+        VariableSchema("a", "categorical", ("0", "1", "2")), VariableSchema("c", "continuous")
+    )
+    cells = [np.float64(0.1), np.float64(-2.5), np.float64(1e-300)]
+    data = from_raw(schema, {"a": [2, 0, 1], "c": cells})
+    assert data.columns["a"].tolist() == [2, 0, 1]
+    assert data.columns["c"].tolist() == [0.1, -2.5, 1e-300]
+    with pytest.raises(UnknownLevel) as exc:
+        from_raw(schema, {"a": [2, 3, 1], "c": cells})
+    assert str(exc.value) == "a: value 3 (row 2) is not a declared level"
+    with pytest.raises(UnknownLevel) as exc:
+        from_raw(schema, {"a": [2, [0], 1], "c": cells})
+    assert str(exc.value) == "a: value [0] (row 2) is not a declared level"
+    with pytest.raises(UnknownLevel) as exc:
+        from_raw(schema, {"a": [2, 0, 1], "c": [1.0, None, 2.0]})
+    assert str(exc.value) == "c: value None (row 2) is not numeric"
+
+
+def test_joint_codes_leaves_its_inputs_unchanged(rng):
+    columns = [(rng.integers(0, k, size=200), k) for k in (3, 2, 4)]
+    before = [codes.copy() for codes, _ in columns]
+    flat, n_cells = joint_codes(columns, 200)
+    assert n_cells == 24
+    for (codes, _), saved in zip(columns, before):
+        assert np.array_equal(codes, saved)
+    a, b, c = (codes for codes, _ in columns)
+    assert flat.tolist() == ((a * 2 + b) * 4 + c).tolist()

@@ -179,10 +179,25 @@ def test_prior_knowledge_values_rejected_at_construction(kwargs, match):
         PriorKnowledge(**kwargs)
 
 
-def _altered_prior(tiers, required):
-    # Construction refuses a cycle, so only a prior altered afterwards has one.
+def test_forbidding_the_only_tier_direction_rejected(example1_engine):
+    # Z->Y is forbidden and the tiers forbid Y->Z, so an edge Z-Y could be
+    # oriented neither way.
+    prior = {"tiers": {"Z": 0, "Y": 1}, "forbidden": {("Z", "Y")}}
+    with example1_engine.trace() as log:
+        with pytest.raises(ValueError, match="leaves no direction"):
+            learn_structure(["X", "Y", "Z"], example1_engine, prior=PriorKnowledge(**prior))
+    assert log == []
+    # The direction the tiers forbid anyway may be forbidden again, and a
+    # pair forbidden both ways (no direct edge) is still accepted.
+    PriorKnowledge(tiers={"Z": 0, "Y": 1}, forbidden={("Y", "Z")})
+    PriorKnowledge(forbidden={("Z", "Y"), ("Y", "Z")})
+
+
+def _altered_prior(tiers, required=(), forbidden=()):
+    # Construction refuses these priors, so only one altered afterwards has them.
     pk = PriorKnowledge(tiers=tiers)
     object.__setattr__(pk, "required", frozenset(required))
+    object.__setattr__(pk, "forbidden", frozenset(forbidden))
     return pk
 
 
@@ -194,8 +209,12 @@ def _altered_prior(tiers, required):
         (PriorKnowledge(forbidden=frozenset({("Q", "X")})), UnknownVertex),
         (_altered_prior({}, {("X", "Y"), ("Y", "X")}), PriorKnowledgeCycle),
         (_altered_prior({"X": 0, "Y": 1}, {("Y", "Z"), ("Z", "X")}), PriorKnowledgeCycle),
+        (_altered_prior({"Z": 0, "Y": 1}, forbidden={("Z", "Y")}), ValueError),
     ],
-    ids=["unknown-tier", "unknown-forbidden", "cyclic-required", "required-chain-against-tiers"],
+    ids=[
+        "unknown-tier", "unknown-forbidden", "cyclic-required", "required-chain-against-tiers",
+        "forbidden-against-tiers",
+    ],
 )
 def test_bad_prior_raises_before_any_query(example1_engine, learner, prior, error):
     with example1_engine.trace() as log:
