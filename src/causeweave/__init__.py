@@ -34,8 +34,8 @@ from .experiments import (
     run_categorical_experiment,
     run_continuous_experiment,
 )
-from .forward import CandidateSet, NeighborhoodFamily, forward_step
-from .maximize import NeighborSelection, SepScore, maximization_step, q_value, sep_score
+from .forward import NeighborhoodFamily, forward_step
+from .maximize import NeighborSelection, SepComputer, maximization_step, q_value
 from .pcstable import pc_stable, pc_stable_skeleton
 from .score import FitReport, bic_of_graph, dag_extension, fit_local
 from .simgen import (

@@ -9,12 +9,13 @@ machine-readable JSON object to stderr:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import errors
-from .citest import CIEngine, InjectedBackend, make_backend
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, InjectedBackend, make_backend
 from .dataset import cap_levels, filter_dominant, load_csv, load_schema
 from .experiments import (
     ALGORITHMS,
@@ -46,9 +47,10 @@ _INPUT_ERRORS = (
 
 
 def _add_ci(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.05, help="test size (default 0.05)")
-    p.add_argument("--m-ci", type=int, default=3, dest="m_ci",
-                   help="conditioning-set size cap (default 3)")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                   help="test size (default %(default)s)")
+    p.add_argument("--m-ci", type=int, default=DEFAULT_MAX_COND, dest="m_ci",
+                   help="conditioning-set size cap (default %(default)s)")
 
 
 def _add_out(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -183,11 +185,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             alpha=args.alpha, m_ci=args.m_ci, seed=args.seed, threads=args.threads,
         )
         reports = run_continuous_experiment(sim_cfg)
-        echo = {
-            "kind": "continuous", "k": args.k, "n": args.n, "rho": args.rho,
-            "theta": args.theta, "reps": args.reps, "alpha": args.alpha,
-            "m_ci": args.m_ci, "seed": args.seed,
-        }
     else:
         sim_cfg = CategoricalSimConfig(
             k=args.k, n=args.n, levels=args.levels, max_parents=args.max_parents,
@@ -195,13 +192,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             threads=args.threads, compute_bic=not args.no_bic,
         )
         reports = run_categorical_experiment(sim_cfg)
-        echo = {
-            "kind": "categorical", "k": args.k, "n": args.n, "levels": args.levels,
-            "max_parents": args.max_parents, "reps": args.reps, "alpha": args.alpha,
-            "m_ci": args.m_ci, "seed": args.seed, "bic": not args.no_bic,
-        }
+    echo = {
+        "bic" if key == "compute_bic" else key: value
+        for key, value in dataclasses.asdict(sim_cfg).items()
+        if key not in ("threads", "algorithms")
+    }
     doc = {
-        "config": echo,
+        "config": {"kind": args.kind, **echo},
         "reports": {alg: rep.to_json_obj() for alg, rep in reports.items()},
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -295,6 +292,10 @@ def _check(args: argparse.Namespace) -> None:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if hasattr(args, "reps") and args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    if hasattr(args, "k") and args.k < 2:
+        raise ValueError(f"--k must be >= 2, got {args.k}")
+    if hasattr(args, "max_distance") and args.max_distance < 1:
+        raise ValueError(f"--max-distance must be >= 1, got {args.max_distance}")
 
 
 def main(argv=None) -> int:

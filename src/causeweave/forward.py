@@ -29,27 +29,13 @@ DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    """One candidate neighborhood: members in enumeration order."""
-
-    members: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def as_set(self) -> frozenset[str]:
-        return frozenset(self.members)
-
-
-@dataclass(frozen=True)
 class NeighborhoodFamily:
-    """All maximal admissible candidate sets found for one target."""
+    """All maximal admissible candidate sets found for one target, each a
+    tuple of members in enumeration order; the family is sorted by
+    (size, member ranks)."""
 
     target: str
-    family: tuple[CandidateSet, ...]
-
-    def member_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(c.as_set() for c in self.family)
+    family: tuple[tuple[str, ...], ...]
 
 
 class ForwardSearch:
@@ -92,32 +78,21 @@ class ForwardSearch:
     def _sorted(self, s) -> list[str]:
         return sorted(s, key=self.rank.__getitem__)
 
-    def later_variables(self, s: frozenset[str]) -> tuple[str, ...]:
-        """Variables after the highest-ranked member of ``s``."""
-        if not s:
-            return self.order
-        top = max(self.rank[v] for v in s)
-        return self.order[top + 1 :]
-
     def extensions(self, s: frozenset[str]) -> frozenset[str]:
         """Variables that can extend the admissible set ``s``.
 
-        Memoized; recurses over leave-one-out subsets when they have not
-        been examined yet (they always have during a worklist run).
+        Reads the extension sets of the leave-one-out subsets of ``s`` from
+        the memo, so every one of them must have been examined first, as
+        ``run`` does; their intersection, restricted to variables after the
+        highest-ranked member, bounds the result.
         """
-        s = frozenset(s)
-        cached = self.memo.get(s)
-        if cached is not None:
-            return cached
         if not s:
             result = frozenset(t for t in self.order if self._dependent(t, ()))
         else:
             members = self._sorted(s)
-            upper: frozenset[str] | None = None
-            for drop in members:
-                sub_ext = self.extensions(s - {drop})
-                upper = sub_ext if upper is None else upper & sub_ext
-            candidates = [t for t in self.later_variables(s) if t in upper]
+            upper = frozenset.intersection(*(self.memo[s - {v}] for v in members))
+            later = self.order[self.rank[members[-1]] + 1 :]
+            candidates = [t for t in later if t in upper]
             if len(s) > self.m_ci:
                 result = frozenset(candidates)
             else:
@@ -155,10 +130,8 @@ class ForwardSearch:
                 else:
                     terminal.append(s)
             level = next_level
-        family = [
-            CandidateSet(members=tuple(self._sorted(s))) for s in _maximal(terminal)
-        ]
-        family.sort(key=lambda c: (len(c.members), tuple(self.rank[v] for v in c.members)))
+        family = [tuple(self._sorted(s)) for s in _maximal(terminal)]
+        family.sort(key=lambda c: (len(c), tuple(self.rank[v] for v in c)))
         return NeighborhoodFamily(target=self.target, family=tuple(family))
 
 
@@ -177,12 +150,9 @@ def forward_step(
     engine: CIEngine,
     alpha: float = DEFAULT_ALPHA,
     m_ci: int = DEFAULT_MAX_COND,
-    budget: int = DEFAULT_BUDGET,
 ) -> NeighborhoodFamily:
     """All maximal admissible candidate neighborhoods of ``target``.
 
     ``variables`` fixes the enumeration order.
     """
-    return ForwardSearch(
-        target, variables, engine, alpha=alpha, m_ci=m_ci, budget=budget
-    ).run()
+    return ForwardSearch(target, variables, engine, alpha=alpha, m_ci=m_ci).run()

@@ -22,33 +22,25 @@ from itertools import combinations
 
 from .citest import DEFAULT_MAX_COND, CIEngine
 from .errors import EmptyFamily
-from .forward import CandidateSet, NeighborhoodFamily
+from .forward import NeighborhoodFamily
 
 Witness = tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class SepScore:
-    """Best separating p-value for an unordered pair, plus the witness set."""
-
-    pair: tuple[str, str]
-    value: float
-    witness: Witness
-
-
-@dataclass(frozen=True)
 class NeighborSelection:
-    """The winning candidate set for a target, its quality and, per other
-    variable ``v``, the score of ``v`` over ``chosen - {v}``."""
+    """The winning candidate set for a target as its member tuple, its
+    quality and, per other variable ``v``, the score of ``v`` over
+    ``chosen - {v}``."""
 
     target: str
-    chosen: CandidateSet
+    chosen: tuple[str, ...]
     q_value: float
     separation: dict[str, tuple[float, Witness]] = field(hash=False)
 
     @property
     def neighbors(self) -> frozenset[str]:
-        return self.chosen.as_set()
+        return frozenset(self.chosen)
 
 
 class SepComputer:
@@ -105,34 +97,20 @@ def _better(
     return current
 
 
-def sep_score(
-    x: str, y: str, n, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND
-) -> SepScore:
-    """Maximal separating p-value of (x, y) over subsets of ``n``."""
-    value, witness = SepComputer(x, engine, m_ci=m_ci).score(y, n)
-    a, b = sorted((x, y))
-    return SepScore(pair=(a, b), value=value, witness=witness)
-
-
 def q_value(
-    x: str,
-    n,
-    variables,
-    engine: CIEngine,
-    m_ci: int = DEFAULT_MAX_COND,
-    floor: float = -math.inf,
-    computer: SepComputer | None = None,
+    computer: SepComputer, n, variables, floor: float = -math.inf
 ) -> float:
-    """Minimum separation score of ``x`` against every variable outside ``n``.
+    """Minimum separation score of ``computer.anchor`` against every
+    variable outside ``n``, scored by ``computer``.
 
     Returns positive infinity when there is no outside variable.  As soon as
     any score drops to ``floor`` or below, that score is returned directly:
     the minimum cannot beat the floor anymore.
     """
+    x = computer.anchor
     n = frozenset(n)
     if x in n or not n <= set(variables):
         raise ValueError(f"candidate set {sorted(n)!r} invalid for target {x!r}")
-    computer = computer if computer is not None else SepComputer(x, engine, m_ci=m_ci)
     q = math.inf
     for other in sorted(set(variables) - n - {x}):
         value, _ = computer.score(other, n)
@@ -158,17 +136,15 @@ def maximization_step(
     """
     if not family.family:
         raise EmptyFamily(f"no candidate neighborhoods for {x!r}")
-    ordered = sorted(family.family, key=lambda c: (len(c.members), tuple(sorted(c.members))))
+    ordered = sorted(family.family, key=lambda c: (len(c), tuple(sorted(c))))
     computer = SepComputer(x, engine, m_ci=m_ci)
-    chosen: CandidateSet | None = None
+    chosen: tuple[str, ...] | None = None
     # The best quality so far is the floor; p-values are never below 0.
     chosen_q = 0.0
     for cand in ordered:
-        q = q_value(
-            x, cand.as_set(), variables, engine, m_ci=m_ci, floor=chosen_q, computer=computer
-        )
+        q = q_value(computer, cand, variables, floor=chosen_q)
         if chosen is None or q > chosen_q:
             chosen, chosen_q = cand, q
-    n = chosen.as_set()
+    n = frozenset(chosen)
     separation = {v: computer.score(v, n - {v}) for v in variables if v != x}
     return NeighborSelection(target=x, chosen=chosen, q_value=chosen_q, separation=separation)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, topological_order
 from .errors import PriorKnowledgeCycle, UnknownVertex
-from .forward import DEFAULT_BUDGET, forward_step
+from .forward import forward_step
 from .maximize import NeighborSelection, _better, maximization_step
 
 logger = logging.getLogger(__name__)
@@ -536,7 +536,6 @@ def learn_structure(
     alpha: float = DEFAULT_ALPHA,
     m_ci: int = DEFAULT_MAX_COND,
     prior: PriorKnowledge | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> Cpdag:
     """Two-step neighborhood discovery for every vertex, then orientation.
 
@@ -550,7 +549,7 @@ def learn_structure(
         prior.check(variables)
     selections: dict[str, NeighborSelection] = {}
     for x in variables:
-        family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci, budget=budget)
+        family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci)
         selections[x] = maximization_step(x, family, variables, engine, m_ci=m_ci)
     skeleton = build_skeleton(selections)
     sepsets = compute_sepsets(skeleton, selections)

@@ -175,6 +175,10 @@ def test_learn_cap_levels_flag(tmp_path, capsys):
         ["simulate", "--m-ci", "0"],
         ["simulate", "--reps", "0"],
         ["simulate", "--threads", "0"],
+        ["simulate", "--k", "1", "--kind", "categorical"],
+        ["simulate", "--k", "1", "--kind", "continuous"],
+        ["export", "--max-distance", "0"],
+        ["export", "--max-distance", "-3"],
     ],
     ids=" ".join,
 )
@@ -182,6 +186,11 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, example1_file, argv):
     command, *option = argv
     if command == "learn":
         argv = ["learn", "--data", example1_file, "--backend", "injected", *option]
+    if command == "export":
+        graph = str(tmp_path / "g.json")  # the path X-Z-Y
+        run(capsys, "learn", "--data", example1_file, "--backend", "injected",
+            "--out", graph, "--format", "json")
+        argv = ["export", graph, "--distances-from", "X", *option]
     code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2 and stdout == ""
     err = json.loads(stderr)["error"]

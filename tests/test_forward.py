@@ -26,25 +26,23 @@ def engine_for(table):
 
 
 def test_example1_extensions(example1_engine):
-    def extensions(s):
-        search = ForwardSearch("X", VARS3, example1_engine, alpha=0.05)
-        return search.extensions(frozenset(s))
-
-    assert extensions(()) == {"Y", "Z"}
-    assert extensions(("Y",)) == frozenset()
-    assert extensions(("Z",)) == frozenset()
+    search = ForwardSearch("X", VARS3, example1_engine, alpha=0.05)
+    search.run()
+    assert search.memo[frozenset()] == {"Y", "Z"}
+    assert search.memo[frozenset({"Y"})] == frozenset()
+    assert search.memo[frozenset({"Z"})] == frozenset()
 
 
 def test_example1_family(example1_engine):
     fam = forward_step("X", VARS3, example1_engine, alpha=0.05)
-    assert fam.member_sets() == (frozenset({"Y"}), frozenset({"Z"}))
+    assert tuple(map(frozenset, fam.family)) == (frozenset({"Y"}), frozenset({"Z"}))
 
 
 def test_isolated_target_yields_empty_set_family():
     entries = [("X", "Y", (), 0.9), ("X", "Z", (), 0.8), ("Y", "Z", (), 0.9),
                ("X", "Y", ("Z",), 0.9), ("X", "Z", ("Y",), 0.9), ("Y", "Z", ("X",), 0.9)]
     fam = forward_step("X", VARS3, CIEngine(inject_results(entries)), alpha=0.05)
-    assert fam.member_sets() == (frozenset(),)
+    assert tuple(map(frozenset, fam.family)) == (frozenset(),)
 
 
 def test_extensions_match_definitional_enumeration(rng):
@@ -62,7 +60,7 @@ def test_extensions_match_definitional_enumeration(rng):
             expected = definitional_extensions(table, alpha, target, order, s)
             assert computed == expected, (trial, target, sorted(s))
         expected_family = maximal_sets(set(all_admissible_sets(table, alpha, target, order)))
-        assert set(fam.member_sets()) == expected_family
+        assert set(map(frozenset, fam.family)) == expected_family
 
 
 def test_only_admissible_sets_expanded(rng):
@@ -108,7 +106,7 @@ def test_family_is_antichain(rng):
         names = [f"T{i}" for i in range(6)]
         table = random_ptable(names, rng)
         fam = forward_step("T1", names, engine_for(table), alpha=0.5, m_ci=2)
-        sets = fam.member_sets()
+        sets = tuple(map(frozenset, fam.family))
         for a in sets:
             for b in sets:
                 assert not (a < b)
@@ -122,7 +120,7 @@ def test_family_order_independent(rng):
         base = forward_step("T0", names, engine_for(table), alpha=alpha, m_ci=5)
         perm = ["T0"] + list(rng.permutation([n for n in names if n != "T0"]))
         shuffled = forward_step("T0", perm, engine_for(table), alpha=alpha, m_ci=5)
-        assert set(base.member_sets()) == set(shuffled.member_sets())
+        assert set(map(frozenset, base.family)) == set(map(frozenset, shuffled.family))
 
 
 def test_oracle_chain():
@@ -130,13 +128,13 @@ def test_oracle_chain():
     # one is eliminated later by the selection step, not here.
     dag = OracleGraph(vertices=("X", "A", "B"), edges=frozenset({("X", "A"), ("A", "B")}))
     fam = forward_step("X", ["X", "A", "B"], CIEngine(OracleBackend(dag)))
-    assert set(fam.member_sets()) == {frozenset({"A"}), frozenset({"B"})}
+    assert set(map(frozenset, fam.family)) == {frozenset({"A"}), frozenset({"B"})}
 
 
 def test_oracle_collider_parents():
     dag = OracleGraph(vertices=("A", "X", "B"), edges=frozenset({("A", "X"), ("B", "X")}))
     fam = forward_step("X", ["A", "X", "B"], CIEngine(OracleBackend(dag)))
-    assert fam.member_sets() == (frozenset({"A", "B"}),)
+    assert tuple(map(frozenset, fam.family)) == (frozenset({"A", "B"}),)
 
 
 def test_oracle_family_contains_true_neighborhood(rng):
@@ -151,7 +149,7 @@ def test_oracle_family_contains_true_neighborhood(rng):
         for x in dag.vertices:
             truth = set(dag.parents(x)) | set(dag.children(x))
             fam = forward_step(x, dag.vertices, engine, m_ci=3)
-            assert any(truth <= member for member in fam.member_sets()), (
+            assert any(truth <= member for member in map(frozenset, fam.family)), (
                 sorted(dag.edges),
                 x,
             )
@@ -159,5 +157,5 @@ def test_oracle_family_contains_true_neighborhood(rng):
 
 def test_budget_exceeded(example1_engine):
     with pytest.raises(BudgetExceeded):
-        forward_step("X", VARS3, example1_engine, alpha=0.05, budget=2)
+        ForwardSearch("X", VARS3, example1_engine, alpha=0.05, budget=2).run()
 

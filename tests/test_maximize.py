@@ -11,11 +11,10 @@ from causeweave import (
     inject_results,
     maximization_step,
     q_value,
-    sep_score,
 )
 from causeweave.citest import canonical_key
 from causeweave.errors import EmptyFamily
-from causeweave.forward import CandidateSet, NeighborhoodFamily
+from causeweave.forward import NeighborhoodFamily
 from causeweave.maximize import SepComputer
 from causeweave.simgen import random_dag
 from oracle_helpers import (
@@ -35,20 +34,19 @@ def engine_for(table):
 def family_of(target, members_list):
     return NeighborhoodFamily(
         target=target,
-        family=tuple(CandidateSet(members=tuple(sorted(m))) for m in members_list),
+        family=tuple(tuple(sorted(m)) for m in members_list),
     )
 
 
 def test_empty_candidate_set_is_marginal_test(example1_engine):
-    score = sep_score("X", "Y", (), example1_engine)
-    assert score.value == 0.01 and score.witness == ()
+    value, witness = SepComputer("X", example1_engine).score("Y", ())
+    assert value == 0.01 and witness == ()
 
 
 def test_example1_sep_score(example1_engine):
-    score = sep_score("X", "Y", ("Z",), example1_engine)
-    assert score.value == 0.30
-    assert score.witness == ("Z",)
-    assert score.pair == ("X", "Y")
+    value, witness = SepComputer("X", example1_engine).score("Y", ("Z",))
+    assert value == 0.30
+    assert witness == ("Z",)
 
 
 def test_sep_score_matches_exhaustive_enumeration(rng):
@@ -59,10 +57,10 @@ def test_sep_score_matches_exhaustive_enumeration(rng):
         x, y = names[0], names[1]
         n = tuple(names[2:5])
         for size in (1, 2, 3):
-            got = sep_score(x, y, n[:size], engine, m_ci=3)
+            got_p, got_w = SepComputer(x, engine, m_ci=3).score(y, n[:size])
             want_p, want_w = exhaustive_sep(table, x, y, n[:size])
-            assert got.value == want_p
-            assert got.witness == want_w
+            assert got_p == want_p
+            assert got_w == want_w
 
 
 def test_sep_score_cap_matches_capped_enumeration(rng):
@@ -70,27 +68,27 @@ def test_sep_score_cap_matches_capped_enumeration(rng):
         names = [f"T{i}" for i in range(6)]
         table = random_ptable(names, rng)
         engine = engine_for(table)
-        got = sep_score("T0", "T1", ("T2", "T3", "T4", "T5"), engine, m_ci=2)
+        got_p, got_w = SepComputer("T0", engine, m_ci=2).score("T1", ("T2", "T3", "T4", "T5"))
         want_p, want_w = exhaustive_sep(table, "T0", "T1", ("T2", "T3", "T4", "T5"), m_ci=2)
-        assert got.value == want_p and got.witness == want_w
+        assert got_p == want_p and got_w == want_w
 
 
 def test_sep_score_monotone_in_candidate_set(rng):
     names = [f"T{i}" for i in range(5)]
     table = random_ptable(names, rng)
     engine = engine_for(table)
-    full = sep_score("T0", "T1", ("T2", "T3", "T4"), engine, m_ci=4).value
+    full, _ = SepComputer("T0", engine, m_ci=4).score("T1", ("T2", "T3", "T4"))
     for sub in [(), ("T2",), ("T2", "T3"), ("T3", "T4")]:
-        assert sep_score("T0", "T1", sub, engine, m_ci=4).value <= full
+        assert SepComputer("T0", engine, m_ci=4).score("T1", sub)[0] <= full
 
 
 def test_q_empty_outside_is_infinite(example1_engine):
-    assert q_value("X", ("Y", "Z"), VARS3, example1_engine) == math.inf
+    assert q_value(SepComputer("X", example1_engine), ("Y", "Z"), VARS3) == math.inf
 
 
 def test_example1_q_values(example1_engine):
-    assert q_value("X", ("Z",), VARS3, example1_engine) == 0.30
-    assert q_value("X", ("Y",), VARS3, example1_engine) == 0.20
+    assert q_value(SepComputer("X", example1_engine), ("Z",), VARS3) == 0.30
+    assert q_value(SepComputer("X", example1_engine), ("Y",), VARS3) == 0.20
 
 
 def test_q_early_exit_agrees_with_full_scan(rng):
@@ -99,9 +97,9 @@ def test_q_early_exit_agrees_with_full_scan(rng):
         table = random_ptable(names, rng)
         engine = engine_for(table)
         n = ("T1", "T2")
-        full = q_value("T0", n, names, engine, m_ci=3)
+        full = q_value(SepComputer("T0", engine, m_ci=3), n, names)
         floor = full + 0.01
-        floored = q_value("T0", n, names, engine, m_ci=3, floor=floor)
+        floored = q_value(SepComputer("T0", engine, m_ci=3), n, names, floor=floor)
         # an early exit only ever reports a value at or below the floor, so
         # the candidate still loses against a best-so-far of `floor`; with
         # no exit the exact minimum comes back
@@ -109,13 +107,13 @@ def test_q_early_exit_agrees_with_full_scan(rng):
         assert floored == full or floored <= floor
         assert full == exhaustive_q(table, "T0", n, names)
         # a floor below the minimum never changes the outcome
-        assert q_value("T0", n, names, engine, m_ci=3, floor=full - 0.01) == full
+        assert q_value(SepComputer("T0", engine, m_ci=3), n, names, floor=full - 0.01) == full
 
 
 def test_example1_selection(example1_engine):
     fam = forward_step("X", VARS3, example1_engine, alpha=0.05)
     sel = maximization_step("X", fam, VARS3, example1_engine)
-    assert sel.chosen.members == ("Z",)
+    assert sel.chosen == ("Z",)
     assert sel.q_value == 0.30
     # the winner's scores: Y over {Z}, and Z over the rest of {Z}
     assert sel.separation == {"Y": (0.30, ("Z",)), "Z": (0.02, ())}
@@ -127,8 +125,8 @@ def test_example1_selection(example1_engine):
 def test_singleton_family_returned_unchanged(example1_engine):
     fam = family_of("X", [("Y",)])
     sel = maximization_step("X", fam, VARS3, example1_engine)
-    assert sel.chosen.members == ("Y",)
-    assert sel.q_value == q_value("X", ("Y",), VARS3, example1_engine)
+    assert sel.chosen == ("Y",)
+    assert sel.q_value == q_value(SepComputer("X", example1_engine), ("Y",), VARS3)
 
 
 def test_empty_family_raises(example1_engine):
@@ -146,12 +144,12 @@ def test_selection_equals_unfloored_argmax(rng):
         fam = forward_step("T0", names, engine, alpha=alpha, m_ci=4)
         sel = maximization_step("T0", fam, names, engine, m_ci=4)
         scored = [
-            (exhaustive_q(table, "T0", c.as_set(), names, m_ci=4), c)
+            (exhaustive_q(table, "T0", frozenset(c), names, m_ci=4), c)
             for c in fam.family
         ]
         top = max(t[0] for t in scored)
         contenders = [c for q, c in scored if q == top]
-        expected = min(contenders, key=lambda c: (len(c.members), tuple(sorted(c.members))))
+        expected = min(contenders, key=lambda c: (len(c), tuple(sorted(c))))
         assert sel.chosen == expected
         assert sel.q_value == top
 

@@ -14,7 +14,7 @@ from causeweave import (
     pc_stable,
 )
 from causeweave.errors import PriorKnowledgeCycle, UnknownVertex
-from causeweave.forward import CandidateSet, NeighborhoodFamily
+from causeweave.forward import NeighborhoodFamily
 from causeweave.maximize import NeighborSelection, SepComputer
 from causeweave.simgen import random_dag
 from causeweave.skeleton_orient import (
@@ -30,7 +30,7 @@ from oracle_helpers import cpdag_vstructs, ptable_entries, random_ptable, true_v
 def selection(target, members, q=1.0):
     return NeighborSelection(
         target=target,
-        chosen=CandidateSet(members=tuple(sorted(members))),
+        chosen=tuple(sorted(members)),
         q_value=q,
         separation={},
     )
@@ -40,7 +40,7 @@ def scored_selection(target, members, variables, engine):
     """Selection of a one-candidate family, with its separation scores."""
     family = NeighborhoodFamily(
         target=target,
-        family=(CandidateSet(members=tuple(sorted(members))),),
+        family=(tuple(sorted(members)),),
     )
     return maximization_step(target, family, variables, engine)
 
