@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("graph", help="graph file (.json or .dot)")
     p_export.add_argument("--distances-from", default=None, dest="distances_from",
                           help="vertex for a reachable-within-k report")
-    p_export.add_argument("--max-distance", type=int, default=3, dest="max_distance")
+    p_export.add_argument("--max-distance", type=int, default=3, dest="max_distance",
+                          help="largest k reported, at most the vertex count (default %(default)s)")
     _add_out(p_export, ("json", "dot"))
     p_export.set_defaults(run=cmd_export)
 
@@ -260,9 +261,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             raise errors.UnknownVertex(f"vertex {goal!r} not in graph")
         dist = _bfs_distances(graph, goal)
         result["distances_from"] = goal
+        # No shortest path has more than nv - 1 steps, so later counts repeat.
         result["within"] = {
             str(k): sum(1 for d in dist.values() if 0 < d <= k)
-            for k in range(1, args.max_distance + 1)
+            for k in range(1, min(args.max_distance, len(graph.vertices)) + 1)
         }
     _emit(result)
     return 0

@@ -19,12 +19,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .citest import DEFAULT_MAX_COND, CIEngine
 from .errors import EmptyFamily
 from .forward import NeighborhoodFamily
 
 Witness = tuple[str, ...]
+
+
+class SeparationRecord(NamedTuple):
+    """A separation score, the best p-value with the witness subset attaining
+    it: selections hold one per other variable, graphs one per sepset."""
+
+    p_value: float
+    witness: Witness
+
+
+def _better(
+    current: tuple[float, Witness], candidate: tuple[float, Witness]
+) -> tuple[float, Witness]:
+    """The larger p-value; on a tie, the smaller witness."""
+    if candidate[0] > current[0]:
+        return candidate
+    if candidate[0] == current[0] and candidate[1] < current[1]:
+        return candidate
+    return current
 
 
 @dataclass(frozen=True)
@@ -36,7 +56,7 @@ class NeighborSelection:
     target: str
     chosen: tuple[str, ...]
     q_value: float
-    separation: dict[str, tuple[float, Witness]] = field(hash=False)
+    separation: dict[str, SeparationRecord] = field(hash=False)
 
     @property
     def neighbors(self) -> frozenset[str]:
@@ -48,11 +68,12 @@ class SepComputer:
 
     ``score(other, n)`` is the maximum, over the subsets of ``n`` with at
     most ``m_ci`` members, of the p-value of ``anchor`` against ``other``
-    given the subset, together with the witness subset attaining it; ties
-    prefer the lexicographically smallest witness.  The p-value of each
-    (other, subset) is asked of the engine at most once per computer: one
-    ``score`` asks for all of its subsets missing from the memo in a single
-    ``CIEngine.p_values`` batch, in the order a one-by-one loop would.
+    given the subset, as a :class:`SeparationRecord` with the witness subset
+    attaining it; ties prefer the lexicographically smallest witness.  The
+    p-value of each (other, subset) is asked of the engine at most once per
+    computer: one ``score`` asks for all of its subsets missing from the
+    memo in a single ``CIEngine.p_values`` batch, in the order a one-by-one
+    loop would.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
@@ -61,7 +82,7 @@ class SepComputer:
         self.m_ci = m_ci
         self._p: dict[str, dict[Witness, float]] = {}
 
-    def score(self, other: str, n) -> tuple[float, Witness]:
+    def score(self, other: str, n) -> SeparationRecord:
         n = sorted(set(n))
         if other == self.anchor or other in n or self.anchor in n:
             raise ValueError(
@@ -83,18 +104,7 @@ class SepComputer:
             for sub, p in zip(missing, self.engine.p_values(self.anchor, other, missing)):
                 memo[sub] = p
                 best = _better(best, (p, sub))
-        return best
-
-
-def _better(
-    current: tuple[float, Witness], candidate: tuple[float, Witness]
-) -> tuple[float, Witness]:
-    """The larger p-value; on a tie, the smaller witness."""
-    if candidate[0] > current[0]:
-        return candidate
-    if candidate[0] == current[0] and candidate[1] < current[1]:
-        return candidate
-    return current
+        return SeparationRecord(*best)
 
 
 def q_value(
@@ -113,7 +123,7 @@ def q_value(
         raise ValueError(f"candidate set {sorted(n)!r} invalid for target {x!r}")
     q = math.inf
     for other in sorted(set(variables) - n - {x}):
-        value, _ = computer.score(other, n)
+        value = computer.score(other, n).p_value
         if value <= floor:
             return value
         q = min(q, value)

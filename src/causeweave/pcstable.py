@@ -29,14 +29,15 @@ def pc_stable_skeleton(
     engine: CIEngine,
     alpha: float = DEFAULT_ALPHA,
     m_ci: int = DEFAULT_MAX_COND,
-) -> tuple[Cpdag, dict[Pair, SeparationRecord]]:
+) -> Cpdag:
     """Level-wise skeleton pruning with frozen adjacency sets.
 
     At level L every surviving edge x-y is tested against all size-L
     subsets of the level-start adjacencies of x and of y; the edge is
     removed at the end of the level if any such test fails to reject
     independence.  Levels stop once no adjacency is large enough or the
-    conditioning cap is passed.
+    conditioning cap is passed.  The graph's ``sepsets`` hold the record of
+    every removed edge, for :func:`orient` to read.
     """
     variables = list(variables)
     if not 0.0 < alpha < 1.0:
@@ -59,7 +60,7 @@ def pc_stable_skeleton(
             break
         removals: dict[Pair, SeparationRecord] = {}
         for x, y in edges:
-            best: tuple[float, tuple[str, ...]] = (-1.0, ())
+            best = SeparationRecord(-1.0, ())
             tried: set[tuple[str, ...]] = set()
             for a, b in ((x, y), (y, x)):
                 pool = sorted(frozen[a] - {b})
@@ -71,20 +72,20 @@ def pc_stable_skeleton(
                     tried.add(cond)
                     p = engine.p_value(x, y, cond)
                     if p > alpha:
-                        best = _better(best, (p, cond))
-            if best[0] > alpha:
-                removals[(x, y)] = SeparationRecord(witness=best[1], p_value=best[0])
+                        best = _better(best, SeparationRecord(p, cond))
+            if best.p_value > alpha:
+                removals[(x, y)] = best
         for (x, y), record in removals.items():
             adjacency[x].discard(y)
             adjacency[y].discard(x)
             sepsets[(x, y)] = record
         level += 1
 
-    skeleton = Cpdag(
+    return Cpdag(
         vertices=tuple(variables),
         undirected={pair_key(x, y) for x in variables for y in adjacency[x] if x < y},
+        sepsets=sepsets,
     )
-    return skeleton, sepsets
 
 
 def pc_stable(
@@ -100,6 +101,6 @@ def pc_stable(
     """
     variables = list(variables)
     if prior is not None:
+        prior.check_consistent()  # again: refuse one altered since construction
         prior.check(variables)
-    skeleton, sepsets = pc_stable_skeleton(variables, engine, alpha=alpha, m_ci=m_ci)
-    return orient(skeleton, prior, sepsets)
+    return orient(pc_stable_skeleton(variables, engine, alpha=alpha, m_ci=m_ci), prior)

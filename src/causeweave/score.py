@@ -14,7 +14,7 @@ ordinary least squares on their parent encodings.  The criterion is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,18 +108,19 @@ def fit_local(data: Dataset, x: str, parents) -> LocalFit:
 def dag_extension(g: Cpdag) -> Cpdag:
     """A fully directed graph consistent with the mixed input.
 
-    Propagation rules run first; while undirected edges remain, the
-    smallest one is committed in a cycle-free direction and propagation
-    reruns.  Deterministic and always acyclic.
+    Propagation rules run first, on a copy without the input's sepsets so
+    no collider is added; while undirected edges remain, the smallest one is
+    committed in a cycle-free direction and propagation reruns.
+    Deterministic and always acyclic.
     """
-    work = orient(g, None, {})
+    work = orient(replace(g, sepsets={}), None)
     while work.undirected:
         a, b = min(work.undirected)
         if work.has_directed_path(b, a):
             a, b = b, a
         work.undirected.discard((min(a, b), max(a, b)))
         work.directed.add((a, b))
-        work = orient(work, None, {})
+        work = orient(work, None)
     return work
 
 

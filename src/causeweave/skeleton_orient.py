@@ -29,7 +29,7 @@ from pathlib import Path
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, topological_order
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import forward_step
-from .maximize import NeighborSelection, _better, maximization_step
+from .maximize import NeighborSelection, SeparationRecord, _better, maximization_step
 
 logger = logging.getLogger(__name__)
 
@@ -40,14 +40,6 @@ def pair_key(a: str, b: str) -> Pair:
     if a == b:
         raise ValueError(f"no self-pairs: {a!r}")
     return (a, b) if a < b else (b, a)
-
-
-@dataclass(frozen=True)
-class SeparationRecord:
-    """Separating set stored for a non-adjacent pair, with its p-value."""
-
-    witness: tuple[str, ...]
-    p_value: float
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,8 @@ class PriorKnowledge:
     def __post_init__(self) -> None:
         if not isinstance(self.tiers, Mapping):
             raise ValueError("prior tiers must map names to integers")
+        # A private copy: editing the caller's dict later cannot bypass the checks.
+        object.__setattr__(self, "tiers", dict(self.tiers))
         for name, tier in self.tiers.items():
             if not (isinstance(name, str) and type(tier) is int and tier >= 0):
                 raise ValueError(f"tier of {name!r} must be a non-negative integer, got {tier!r}")
@@ -126,9 +120,8 @@ class PriorKnowledge:
             )
 
     def check(self, vertices) -> None:
-        """Raise ``PriorKnowledgeCycle`` when the prior is inconsistent and
-        ``UnknownVertex`` when it names a vertex outside ``vertices``."""
-        self.check_consistent()
+        """Raise ``UnknownVertex`` when the prior names a vertex outside
+        ``vertices``.  Consistency was checked at construction."""
         unknown = set(self.tiers).union(*self.required, *self.forbidden) - set(vertices)
         if unknown:
             raise UnknownVertex(f"prior knowledge names unknown vertices {sorted(unknown)!r}")
@@ -319,7 +312,7 @@ class Cpdag:
                 pair_key(a, b): float(p) for a, b, p in obj.get("significance", [])
             },
             sepsets={
-                pair_key(a, b): SeparationRecord(witness=tuple(w), p_value=float(p))
+                pair_key(a, b): SeparationRecord(p_value=float(p), witness=tuple(w))
                 for a, b, w, p in obj.get("sepsets", [])
             },
         )
@@ -408,24 +401,22 @@ def edge_significance(x: str, y: str, selections: dict[str, NeighborSelection]) 
     """Connection strength of edge x-y: the smaller of the two endpoints'
     best separating p-values (small means no subset separates the pair),
     read from ``selections[x].separation[y]`` and ``selections[y].separation[x]``."""
-    return min(selections[x].separation[y][0], selections[y].separation[x][0])
+    return min(selections[x].separation[y].p_value, selections[y].separation[x].p_value)
 
 
 def compute_sepsets(
     skeleton: Cpdag, selections: dict[str, NeighborSelection]
 ) -> dict[Pair, SeparationRecord]:
-    """Best separating set per non-adjacent pair x-y: the better of
-    ``selections[x].separation[y]`` and ``selections[y].separation[x]``,
+    """The graph's ``sepsets``, one record per non-adjacent pair x-y: the
+    better of ``selections[x].separation[y]`` and ``selections[y].separation[x]``,
     each searched in that endpoint's chosen neighborhood; the larger p-value
     wins, ties prefer the smaller witness."""
     out: dict[Pair, SeparationRecord] = {}
     verts = skeleton.vertices
     for i, x in enumerate(verts):
         for y in verts[i + 1 :]:
-            if skeleton.has_edge(x, y):
-                continue
-            value, witness = _better(selections[x].separation[y], selections[y].separation[x])
-            out[pair_key(x, y)] = SeparationRecord(witness=witness, p_value=value)
+            if not skeleton.has_edge(x, y):
+                out[pair_key(x, y)] = _better(selections[x].separation[y], selections[y].separation[x])
     return out
 
 
@@ -448,24 +439,19 @@ def _commit(g: Cpdag, a: str, b: str, pk: PriorKnowledge, why: str) -> bool:
     return True
 
 
-def orient(
-    skeleton: Cpdag,
-    pk: PriorKnowledge | None,
-    sepsets: dict[Pair, SeparationRecord],
-) -> Cpdag:
-    """Orient a skeleton into a partially directed acyclic graph.
+def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
+    """Orient a copy of ``graph`` into a partially directed acyclic graph.
 
-    Stages: prior knowledge, then colliders (globally resolved by
-    descending separating p-value; a collider contradicting prior knowledge
-    or an already-committed opposite arrow is dropped), then the two
-    propagation rules to a fixed point.  Skeleton edges are never added or
-    removed, only directed.  A prior that names a vertex the skeleton does
-    not have raises ``UnknownVertex``.
+    Stages: prior knowledge, then colliders read from ``graph.sepsets``
+    (globally resolved by descending separating p-value; a collider
+    contradicting prior knowledge or an already-committed opposite arrow is
+    dropped), then the two propagation rules to a fixed point.  Skeleton
+    edges are never added or removed, only directed.  A prior that names a
+    vertex the graph does not have raises ``UnknownVertex``.
     """
     pk = pk if pk is not None else PriorKnowledge()
-    pk.check(skeleton.vertices)
-    g = skeleton.copy()
-    g.sepsets = dict(sepsets)
+    pk.check(graph.vertices)
+    g = graph.copy()
 
     for a, b in sorted(g.undirected):
         direction = pk.forced_direction(a, b)
@@ -483,7 +469,7 @@ def orient(
             for b in near[i + 1 :]:
                 if g.has_edge(a, b):
                     continue
-                rec = sepsets.get(pair_key(a, b))
+                rec = g.sepsets.get(pair_key(a, b))
                 if rec is None or z in rec.witness:
                     continue
                 candidates.append((rec.p_value, a, z, b))
@@ -546,16 +532,16 @@ def learn_structure(
     """
     variables = list(variables)
     if prior is not None:
+        prior.check_consistent()  # again: refuse one altered since construction
         prior.check(variables)
     selections: dict[str, NeighborSelection] = {}
     for x in variables:
         family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci)
         selections[x] = maximization_step(x, family, variables, engine, m_ci=m_ci)
     skeleton = build_skeleton(selections)
-    sepsets = compute_sepsets(skeleton, selections)
-    significance = {
+    skeleton.sepsets = compute_sepsets(skeleton, selections)
+    skeleton.edge_significance = {
         pair: edge_significance(pair[0], pair[1], selections)
         for pair in sorted(skeleton.skeleton_pairs())
     }
-    skeleton.edge_significance = significance
-    return orient(skeleton, prior, sepsets)
+    return orient(skeleton, prior)

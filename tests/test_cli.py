@@ -335,6 +335,20 @@ def test_export_round_trip_and_distances(tmp_path, capsys, example1_file):
     assert round_tripped["directed"] == original["directed"]
 
 
+def test_export_distances_stop_at_the_vertex_count(tmp_path, capsys, example1_file):
+    json_path = str(tmp_path / "g.json")
+    run(
+        capsys, "learn", "--data", example1_file, "--backend", "injected",
+        "--out", json_path, "--format", "json",
+    )
+    # X-Z-Y chain: no shortest path is longer than 2, so the series ends at
+    # k = 3 vertices, however large --max-distance is.
+    for extra in ([], ["--max-distance", "200000"]):
+        code, stdout, _ = run(capsys, "export", json_path, "--distances-from", "X", *extra)
+        assert code == 0
+        assert json.loads(stdout)["within"] == {"1": 1, "2": 2, "3": 2}
+
+
 @pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
 @pytest.mark.parametrize(
     "prior",

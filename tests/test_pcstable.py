@@ -15,7 +15,8 @@ VARS3 = ["X", "Y", "Z"]
 
 def test_example1_contrast(example1_engine):
     # the baseline removes both edges at X; the two-step learner keeps one
-    skeleton, seps = pc_stable_skeleton(VARS3, example1_engine, alpha=0.05)
+    skeleton = pc_stable_skeleton(VARS3, example1_engine, alpha=0.05)
+    seps = skeleton.sepsets
     assert skeleton.skeleton_pairs() == {("Y", "Z")}
     assert seps[("X", "Y")].witness == ("Z",)
     assert seps[("X", "Y")].p_value == 0.30
@@ -30,9 +31,9 @@ def test_example1_contrast(example1_engine):
 
 def test_fully_independent_gives_empty_graph():
     entries = [("A", "B", (), 0.9), ("A", "C", (), 0.7), ("B", "C", (), 0.8)]
-    skeleton, seps = pc_stable_skeleton(["A", "B", "C"], CIEngine(inject_results(entries)))
+    skeleton = pc_stable_skeleton(["A", "B", "C"], CIEngine(inject_results(entries)))
     assert skeleton.skeleton_pairs() == set()
-    assert len(seps) == 3  # every deleted pair keeps its separator
+    assert len(skeleton.sepsets) == 3  # every deleted pair keeps its separator
 
 
 def test_oracle_skeleton_is_exact(rng):
@@ -40,7 +41,7 @@ def test_oracle_skeleton_is_exact(rng):
         k = int(rng.integers(4, 9))
         dag = random_dag(k, rng, edge_prob=0.3, max_degree=3)
         engine = CIEngine(OracleBackend(dag))
-        skeleton, _ = pc_stable_skeleton(dag.vertices, engine, alpha=0.05, m_ci=3)
+        skeleton = pc_stable_skeleton(dag.vertices, engine, alpha=0.05, m_ci=3)
         assert skeleton.skeleton_pairs() == dag.skeleton_pairs(), sorted(dag.edges)
 
 
@@ -50,12 +51,12 @@ def test_order_independence(rng):
         table = random_ptable(names, rng)
         alpha = float(rng.uniform(0.2, 0.8))
         engine = CIEngine(inject_results(ptable_entries(table)))
-        base, base_seps = pc_stable_skeleton(names, engine, alpha=alpha, m_ci=3)
+        base = pc_stable_skeleton(names, engine, alpha=alpha, m_ci=3)
         perm = list(rng.permutation(names))
         engine2 = CIEngine(inject_results(ptable_entries(table)))
-        shuffled, seps2 = pc_stable_skeleton(perm, engine2, alpha=alpha, m_ci=3)
+        shuffled = pc_stable_skeleton(perm, engine2, alpha=alpha, m_ci=3)
         assert base.skeleton_pairs() == shuffled.skeleton_pairs()
-        assert base_seps == seps2
+        assert base.sepsets == shuffled.sepsets
 
 
 def test_pc_stable_full_pipeline_orients(example1_engine):

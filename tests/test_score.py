@@ -6,7 +6,7 @@ import pytest
 from causeweave import bic_of_graph, ci_test, fit_local
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.score import dag_extension
-from causeweave.skeleton_orient import Cpdag
+from causeweave.skeleton_orient import Cpdag, SeparationRecord
 
 
 def binary_counts_data(counts):
@@ -148,6 +148,18 @@ def test_dag_extension_orients_everything():
     assert ext.undirected == set()
     assert ext.is_acyclic()
     assert ext.skeleton_pairs() == g.skeleton_pairs()
+
+
+def test_dag_extension_forms_no_collider_from_sepsets():
+    # The sepset would make X->Z<-Y a collider; the extension extends the
+    # edges the graph shows and commits the smallest edge first instead.
+    chain = Cpdag(
+        vertices=("X", "Y", "Z"),
+        undirected={("X", "Z"), ("Y", "Z")},
+        sepsets={("X", "Y"): SeparationRecord(p_value=0.4, witness=())},
+    )
+    assert dag_extension(chain).directed == {("X", "Z"), ("Z", "Y")}
+    assert chain.sepsets and chain.undirected == {("X", "Z"), ("Y", "Z")}
 
 
 def test_mixed_parent_regression(rng):

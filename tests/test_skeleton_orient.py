@@ -76,17 +76,17 @@ def test_edge_significance_is_min_and_symmetric(example1_engine):
 
 
 def test_orient_basic_collider():
-    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")])
     seps = {("X", "Y"): SeparationRecord(witness=(), p_value=0.4)}
-    out = orient(g, None, seps)
+    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")], seps)
+    out = orient(g, None)
     assert out.directed == {("X", "Z"), ("Y", "Z")}
     assert out.undirected == set()
 
 
 def test_orient_separator_contains_middle_no_collider():
-    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")])
     seps = {("X", "Y"): SeparationRecord(witness=("Z",), p_value=0.4)}
-    out = orient(g, None, seps)
+    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")], seps)
+    out = orient(g, None)
     assert out.directed == set()
     assert out.undirected == {("X", "Z"), ("Y", "Z")}
 
@@ -94,13 +94,13 @@ def test_orient_separator_contains_middle_no_collider():
 def test_conflicting_colliders_resolved_by_p_value():
     # chain X-Z-Y-W: both middles claimed; the higher-p separation wins and
     # the losing collider is dropped entirely.
-    g = undirected_graph("XZYW", [("X", "Z"), ("Z", "Y"), ("Y", "W")])
+    chain = [("X", "Z"), ("Z", "Y"), ("Y", "W")]
     seps = {
         ("X", "Y"): SeparationRecord(witness=(), p_value=0.4),
         ("W", "Z"): SeparationRecord(witness=(), p_value=0.2),
         ("W", "X"): SeparationRecord(witness=(), p_value=0.9),
     }
-    out = orient(g, None, seps)
+    out = orient(undirected_graph("XZYW", chain, seps), None)
     assert ("X", "Z") in out.directed and ("Y", "Z") in out.directed
     assert ("Z", "Y") not in out.directed
     assert ("W", "Y") not in out.directed  # lost with its collider
@@ -110,22 +110,22 @@ def test_conflicting_colliders_resolved_by_p_value():
         ("W", "Z"): SeparationRecord(witness=(), p_value=0.2),
         ("W", "X"): SeparationRecord(witness=(), p_value=0.9),
     }
-    out2 = orient(g, None, seps2)
+    out2 = orient(undirected_graph("XZYW", chain, seps2), None)
     assert ("Z", "Y") in out2.directed and ("W", "Y") in out2.directed
 
 
 def test_tier_orientation():
     g = undirected_graph(["Age", "Education"], [("Age", "Education")])
     pk = PriorKnowledge(tiers={"Age": 0, "Education": 1})
-    out = orient(g, pk, {})
+    out = orient(g, pk)
     assert out.directed == {("Age", "Education")}
 
 
 def test_forbidden_direction_never_produced():
-    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")])
     seps = {("X", "Y"): SeparationRecord(witness=(), p_value=0.4)}
+    g = undirected_graph("XZY", [("X", "Z"), ("Z", "Y")], seps)
     pk = PriorKnowledge(forbidden=frozenset({("Y", "Z")}))
-    out = orient(g, pk, seps)
+    out = orient(g, pk)
     # the collider contradicts prior knowledge: dropped; but X-Z may still
     # be oriented by nothing else, so it stays undirected
     assert ("Y", "Z") not in out.directed
@@ -136,7 +136,7 @@ def test_forbidden_direction_never_produced():
 def test_required_edge_oriented():
     g = undirected_graph("AB", [("A", "B")])
     pk = PriorKnowledge(required=frozenset({("B", "A")}))
-    out = orient(g, pk, {})
+    out = orient(g, pk)
     assert out.directed == {("B", "A")}
 
 
@@ -161,7 +161,7 @@ def test_forbidden_direction_can_close_a_required_cycle_in_orient():
     )
     g = undirected_graph("ABC", [("A", "B"), ("A", "C"), ("B", "C")])
     with pytest.raises(PriorKnowledgeCycle, match="cannot be committed"):
-        orient(g, pk, {})
+        orient(g, pk)
 
 
 @pytest.mark.parametrize(
@@ -191,6 +191,17 @@ def test_forbidding_the_only_tier_direction_rejected(example1_engine):
     # pair forbidden both ways (no direct edge) is still accepted.
     PriorKnowledge(tiers={"Z": 0, "Y": 1}, forbidden={("Y", "Z")})
     PriorKnowledge(forbidden={("Z", "Y"), ("Y", "Z")})
+
+
+def test_prior_keeps_its_own_copy_of_the_tiers(example1_engine):
+    tiers = {"Z": 0}
+    prior = PriorKnowledge(tiers=tiers, forbidden={("Z", "Y")})
+    # Edits to the caller's dict afterwards would name an unknown vertex and
+    # leave Z-Y no direction; the prior validated at construction ignores them.
+    tiers.update({"Y": 1, "Q": 0})
+    assert prior.tiers == {"Z": 0}
+    graph = learn_structure(["X", "Y", "Z"], example1_engine, prior=prior)
+    assert ("Z", "Y") not in graph.directed
 
 
 def _altered_prior(tiers, required=(), forbidden=()):
@@ -233,7 +244,7 @@ def test_propagation_unshielded_rule():
         directed={("A", "B")},
         undirected={("B", "C"), ("C", "D"), ("B", "D")},
     )
-    out = orient(g, None, {})
+    out = orient(g, None)
     assert ("B", "C") in out.directed and ("B", "D") in out.directed
     assert ("C", "D") in out.undirected
     assert out.is_acyclic()
@@ -245,19 +256,19 @@ def test_propagation_directed_path_rule():
         directed={("A", "B"), ("B", "C")},
         undirected={("A", "C")},
     )
-    out = orient(g, None, {})
+    out = orient(g, None)
     assert ("A", "C") in out.directed
 
 
 def test_orientation_is_idempotent_fixed_point():
-    g = undirected_graph("XZYW", [("X", "Z"), ("Z", "Y"), ("Y", "W")])
     seps = {
         ("X", "Y"): SeparationRecord(witness=(), p_value=0.4),
         ("W", "Z"): SeparationRecord(witness=(), p_value=0.2),
         ("W", "X"): SeparationRecord(witness=(), p_value=0.9),
     }
-    once = orient(g, None, seps)
-    twice = orient(once, None, seps)
+    g = undirected_graph("XZYW", [("X", "Z"), ("Z", "Y"), ("Y", "W")], seps)
+    once = orient(g, None)
+    twice = orient(once, None)
     assert once.directed == twice.directed
     assert once.undirected == twice.undirected
 
@@ -271,8 +282,8 @@ def test_orientation_preserves_skeleton(rng):
             fam = forward_step(x, dag.vertices, engine)
             sels[x] = maximization_step(x, fam, dag.vertices, engine)
         skeleton = build_skeleton(sels)
-        seps = compute_sepsets(skeleton, sels)
-        out = orient(skeleton, None, seps)
+        skeleton.sepsets = compute_sepsets(skeleton, sels)
+        out = orient(skeleton, None)
         assert out.skeleton_pairs() == skeleton.skeleton_pairs()
         assert out.is_acyclic()
 
@@ -335,7 +346,8 @@ def learn_per_pair(variables, engine, alpha, m_ci):
     skeleton.edge_significance = {
         (x, y): min(score(x, y)[0], score(y, x)[0]) for x, y in skeleton.skeleton_pairs()
     }
-    return orient(skeleton, None, sepsets), sels
+    skeleton.sepsets = sepsets
+    return orient(skeleton, None), sels
 
 
 def test_separation_scores_equal_fresh_per_pair_scores(rng):
