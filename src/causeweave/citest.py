@@ -39,6 +39,7 @@ from .errors import (
 )
 
 QueryKey = tuple[str, str, tuple[str, ...]]
+Pair = tuple[str, str]
 
 BACKEND_GTEST = "gtest"
 BACKEND_FISHERZ = "fisherz"
@@ -50,8 +51,18 @@ DEFAULT_MAX_COND = 3
 DEFAULT_ALPHA = 0.05
 
 
+def pair_key(a: str, b: str) -> Pair:
+    """The one encoding of an unordered pair: its two names in sorted order.
+
+    Edges, sepsets, significances and query keys are all keyed by it.
+    """
+    if a == b:
+        raise ValueError(f"no self-pairs: {a!r}")
+    return (a, b) if a < b else (b, a)
+
+
 def canonical_key(x: str, y: str, s=()) -> QueryKey:
-    """Order-free identity of a query: the pair is unordered, ``s`` sorted."""
+    """Order-free identity of a query: ``pair_key(x, y)`` then ``s`` sorted."""
     if x == y:
         raise ValueError(f"query variables must differ: {x!r}")
     s = tuple(sorted(s))
@@ -59,8 +70,7 @@ def canonical_key(x: str, y: str, s=()) -> QueryKey:
         raise ValueError(f"conditioning set {s!r} contains a query variable")
     if len(set(s)) != len(s):
         raise ValueError(f"duplicate conditioning variables in {s!r}")
-    a, b = sorted((x, y))
-    return (a, b, s)
+    return (*pair_key(x, y), s)
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,7 @@ class OracleGraph:
     """A DAG whose construction certifies acyclicity via a topological order."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    edges: frozenset[Pair]
     topological_order: tuple[str, ...] = field(init=False, compare=False)
     _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _children: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
@@ -322,8 +332,8 @@ class OracleGraph:
         self._require(v)
         return self._children[v]
 
-    def skeleton_pairs(self) -> set[tuple[str, str]]:
-        return {tuple(sorted(e)) for e in self.edges}
+    def skeleton_pairs(self) -> set[Pair]:
+        return {pair_key(a, b) for a, b in self.edges}
 
     def _require(self, v: str) -> None:
         if v not in self._parents:

@@ -225,8 +225,9 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     Every schema variable must appear in the header exactly once (extra CSV
     columns are ignored, repeated or not).  Discrete cells are mapped to
     level indices in schema order; continuous cells must be finite numbers.
-    There is no imputation, so missingness must be declared as an explicit
-    level upstream.  A file with a header and no data rows is refused.
+    A leading UTF-8 byte-order mark is skipped.  There is no imputation, so
+    missingness must be declared as an explicit level upstream.  A file with
+    a header and no data rows is refused.
 
     The schema's cells of each row are read once and transposed once, so
     each column is encoded in a single pass (see ``from_raw``).
@@ -236,7 +237,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     MissingColumn, RowLengthMismatch, SchemaError, UnknownLevel
     """
     schema = load_schema(schema_path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -3,9 +3,11 @@
 Edges are tested level by level against conditioning sets drawn from
 adjacency sets frozen at the start of each level, and deletions are applied
 only once the level completes, so the result does not depend on variable
-order.  For every deleted edge the separating set with the largest p-value
-found at the deleting level is recorded (ties prefer the smaller set, the
-rule selection uses), which also keeps the stored sepsets order-free.
+order.  Each edge asks the union of both endpoints' size-L subsets as one
+sorted set, so no query is asked twice.  For every deleted edge the
+separating set with the largest p-value found at the deleting level is
+recorded (ties prefer the smaller set, the rule selection uses), which also
+keeps the stored sepsets order-free.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .skeleton_orient import (
     PriorKnowledge,
     SeparationRecord,
     orient,
-    pair_key,
 )
 
 
@@ -32,8 +33,8 @@ def pc_stable_skeleton(
 ) -> Cpdag:
     """Level-wise skeleton pruning with frozen adjacency sets.
 
-    At level L every surviving edge x-y is tested against all size-L
-    subsets of the level-start adjacencies of x and of y; the edge is
+    At level L every surviving edge x-y is tested once against each size-L
+    subset of the level-start adjacencies of x or of y; the edge is
     removed at the end of the level if any such test fails to reject
     independence.  Levels stop once no adjacency is large enough or the
     conditioning cap is passed.  The graph's ``sepsets`` hold the record of
@@ -50,9 +51,7 @@ def pc_stable_skeleton(
     level = 0
     while level <= m_ci:
         frozen = {v: set(adjacency[v]) for v in variables}
-        edges = sorted(
-            pair_key(x, y) for x in variables for y in adjacency[x] if x < y
-        )
+        edges = sorted((x, y) for x in variables for y in adjacency[x] if x < y)
         if not any(
             len(frozen[x] - {y}) >= level or len(frozen[y] - {x}) >= level
             for x, y in edges
@@ -61,18 +60,11 @@ def pc_stable_skeleton(
         removals: dict[Pair, SeparationRecord] = {}
         for x, y in edges:
             best = SeparationRecord(-1.0, ())
-            tried: set[tuple[str, ...]] = set()
-            for a, b in ((x, y), (y, x)):
-                pool = sorted(frozen[a] - {b})
-                if len(pool) < level:
-                    continue
-                for cond in combinations(pool, level):
-                    if cond in tried:
-                        continue
-                    tried.add(cond)
-                    p = engine.p_value(x, y, cond)
-                    if p > alpha:
-                        best = _better(best, SeparationRecord(p, cond))
+            pools = (frozen[x] - {y}, frozen[y] - {x})
+            for cond in sorted({c for pool in pools for c in combinations(sorted(pool), level)}):
+                p = engine.p_value(x, y, cond)
+                if p > alpha:
+                    best = _better(best, SeparationRecord(p, cond))
             if best.p_value > alpha:
                 removals[(x, y)] = best
         for (x, y), record in removals.items():
@@ -83,7 +75,7 @@ def pc_stable_skeleton(
 
     return Cpdag(
         vertices=tuple(variables),
-        undirected={pair_key(x, y) for x in variables for y in adjacency[x] if x < y},
+        undirected={(x, y) for x in variables for y in adjacency[x] if x < y},
         sepsets=sepsets,
     )
 

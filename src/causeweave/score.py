@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .citest import pair_key
 from .dataset import Dataset, joint_codes
+from .errors import MissingColumn
 from .skeleton_orient import Cpdag, orient
 
 # Relative floor on residual variance; keeps perfect fits finite.
@@ -118,7 +120,7 @@ def dag_extension(g: Cpdag) -> Cpdag:
         a, b = min(work.undirected)
         if work.has_directed_path(b, a):
             a, b = b, a
-        work.undirected.discard((min(a, b), max(a, b)))
+        work.undirected.discard(pair_key(a, b))
         work.directed.add((a, b))
         work = orient(work, None)
     return work
@@ -129,7 +131,12 @@ def bic_of_graph(data: Dataset, g: Cpdag) -> FitReport:
 
     Undirected edges are first resolved through a consistent directed
     extension; vertex terms then add up by the likelihood decomposition.
+    Raises ``MissingColumn`` for the first graph vertex, in sorted order,
+    that is not a data column; data columns outside the graph are ignored.
     """
+    missing = sorted(set(g.vertices) - set(data.names))
+    if missing:
+        raise MissingColumn(f"graph vertex {missing[0]!r} is not a data column")
     extension = dag_extension(g)
     per_vertex: dict[str, LocalFit] = {}
     for v in extension.vertices:

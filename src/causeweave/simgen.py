@@ -22,7 +22,7 @@ import numpy as np
 from .citest import OracleGraph
 from .dataset import Dataset, VariableSchema, joint_codes
 from .errors import VertexMismatch
-from .skeleton_orient import Cpdag, Pair, pair_key
+from .skeleton_orient import Cpdag, Pair
 
 
 def _names(k: int) -> tuple[str, ...]:
@@ -219,9 +219,7 @@ def skeleton_rates(true_graph: OracleGraph, learned: Cpdag) -> tuple[float, floa
     if set(true_graph.vertices) != set(learned.vertices):
         raise VertexMismatch("graphs do not share a vertex set")
     verts = sorted(true_graph.vertices)
-    all_pairs = {
-        pair_key(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]
-    }
+    all_pairs = {(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]}
     truth = true_graph.skeleton_pairs()
     found = learned.skeleton_pairs()
     non_edges = all_pairs - truth
@@ -287,7 +285,7 @@ def evaluate_recovery(
     shared_truth = all(t is truths[0] for t in truths)
 
     verts = sorted(truths[0].vertices)
-    pairs = [pair_key(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
     counts = {p: 0 for p in pairs}
     tprs, tnrs = [], []
     for truth, graph in zip(truths, learned):

@@ -26,20 +26,12 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, topological_order
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, Pair, pair_key, topological_order
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import forward_step
 from .maximize import NeighborSelection, SeparationRecord, _better, maximization_step
 
 logger = logging.getLogger(__name__)
-
-Pair = tuple[str, str]
-
-
-def pair_key(a: str, b: str) -> Pair:
-    if a == b:
-        raise ValueError(f"no self-pairs: {a!r}")
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -133,15 +125,6 @@ class PriorKnowledge:
         ta, tb = self.tiers.get(a), self.tiers.get(b)
         return ta is None or tb is None or ta <= tb
 
-    def forced_direction(self, a: str, b: str) -> Pair | None:
-        """The unique permitted direction for edge a-b, if there is one."""
-        fwd, rev = self.allows(a, b), self.allows(b, a)
-        if fwd and not rev:
-            return (a, b)
-        if rev and not fwd:
-            return (b, a)
-        return None
-
 
 # The rows of each graph JSON key, field by field, and what each field holds.
 _JSON_ROWS = {
@@ -220,18 +203,7 @@ class Cpdag:
         return pair_key(a, b) in self.undirected or (a, b) in self.directed or (b, a) in self.directed
 
     def adjacent(self, v: str) -> set[str]:
-        out = set()
-        for a, b in self.directed:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        for a, b in self.undirected:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return {b if a == v else a for a, b in self.directed | self.undirected if v in (a, b)}
 
     def children(self, v: str) -> set[str]:
         return {b for a, b in self.directed if a == v}
@@ -454,13 +426,11 @@ def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
     g = graph.copy()
 
     for a, b in sorted(g.undirected):
-        direction = pk.forced_direction(a, b)
-        if direction is not None:
-            committed = _commit(g, *direction, pk, "prior knowledge")
-            if not committed and direction in pk.required:
-                raise PriorKnowledgeCycle(
-                    f"required edge {direction[0]!r}->{direction[1]!r} cannot be committed"
-                )
+        fwd, rev = pk.allows(a, b), pk.allows(b, a)
+        if fwd != rev:
+            u, v = (a, b) if fwd else (b, a)
+            if not _commit(g, u, v, pk, "prior knowledge") and (u, v) in pk.required:
+                raise PriorKnowledgeCycle(f"required edge {u!r}->{v!r} cannot be committed")
 
     candidates = []
     for z in g.vertices:
@@ -500,13 +470,9 @@ def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
                 changed |= _commit(g, b, a, pk, "directed path")
         for key in sorted(g.undirected):
             for z, y in (key, key[::-1]):
-                done = False
-                for x in sorted(g.parents(z)):
-                    if x != y and not g.has_edge(x, y):
-                        done = _commit(g, z, y, pk, f"unshielded {x}->{z}")
-                        changed |= done
-                        break
-                if done:
+                x = next((p for p in sorted(g.parents(z)) if p != y and not g.has_edge(p, y)), None)
+                if x is not None and _commit(g, z, y, pk, f"unshielded {x}->{z}"):
+                    changed = True
                     break
 
     g.validate()

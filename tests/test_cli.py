@@ -496,6 +496,52 @@ BINARY = {"kind": "categorical", "levels": ["0", "1"]}
 
 
 @pytest.mark.parametrize(
+    "graph, names",
+    [
+        ({"vertices": ["P", "Q"]}, "ab"),
+        ({"vertices": ["P", "Q"], "directed": [["P", "Q"]]}, ""),
+        ({"vertices": ["P", "Q"], "directed": [["P", "Q"]]}, "ab"),
+    ],
+    ids=["no-edges", "edge-empty-schema", "edge"],
+)
+def test_score_graph_vertex_missing_from_the_data_exits_2(tmp_path, capsys, graph, names):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(graph))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, **BINARY} for v in names]))
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run(
+        capsys, "score", str(graph_path), "--data", str(write_ab_data(tmp_path)),
+        "--schema", str(schema), "--out", str(out),
+    )
+    assert_input_error(code, stdout, stderr, "MissingColumn", out)
+    assert "'P'" in json.loads(stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
+def test_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys, algorithm):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(
+        [{"name": v, **BINARY} for v in "ab"] + [{"name": "c", "kind": "continuous"}]
+    ))
+    text = "a,b,c\n" + "".join(f"{i % 2},{i // 3 % 2},{i * 0.37 % 1:.3f}\n" for i in range(60))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_csv(marked, schema).decode() == load_csv(plain, schema).decode()
+    written = []
+    for data in (plain, marked):
+        out = tmp_path / f"{data.stem}.json"
+        code, _, _ = run(
+            capsys, "learn", "--data", str(data), "--schema", str(schema),
+            "--algorithm", algorithm, "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
     "entry",
     [
         {"name": "a", **BINARY, "level": ["x"]},

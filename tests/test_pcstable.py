@@ -63,3 +63,21 @@ def test_pc_stable_full_pipeline_orients(example1_engine):
     g = pc_stable(VARS3, example1_engine, alpha=0.05)
     assert g.skeleton_pairs() == {("Y", "Z")}
     assert g.is_acyclic()
+
+
+def test_no_query_is_asked_twice(rng):
+    # Level 0 offers the empty set from both endpoints, and deeper levels
+    # offer every subset of the shared neighbours twice.
+    engines = []
+    for _ in range(10):
+        dag = random_dag(int(rng.integers(4, 9)), rng, edge_prob=0.4, max_degree=4)
+        engines.append((dag.vertices, CIEngine(OracleBackend(dag)), 0.05))
+    for _ in range(10):
+        names = [f"T{i}" for i in range(6)]
+        table = random_ptable(names, rng)
+        engine = CIEngine(inject_results(ptable_entries(table)))
+        engines.append((names, engine, float(rng.uniform(0.2, 0.8))))
+    for variables, engine, alpha in engines:
+        with engine.trace() as log:
+            pc_stable_skeleton(variables, engine, alpha=alpha, m_ci=3)
+        assert log and len(log) == len(set(log))

@@ -5,6 +5,7 @@ import pytest
 
 from causeweave import bic_of_graph, ci_test, fit_local
 from causeweave.dataset import VariableSchema, from_raw
+from causeweave.errors import MissingColumn
 from causeweave.score import dag_extension
 from causeweave.skeleton_orient import Cpdag, SeparationRecord
 
@@ -136,6 +137,19 @@ def test_true_edge_usually_lowers_bic(rng):
         edged = bic_of_graph(data, Cpdag(vertices=("a", "b"), directed={("a", "b")}))
         wins += edged.bic < empty.bic
     assert wins > 50
+
+
+def test_bic_refuses_a_graph_vertex_missing_from_the_data():
+    data = binary_counts_data([[30, 10], [10, 30]])
+    # Data columns outside the graph are allowed: a graph learned after
+    # dropping a column is scored against the full table.
+    assert bic_of_graph(data, Cpdag(vertices=("a",))).total_df == 0
+    for graph in (
+        Cpdag(vertices=("Q", "P")),
+        Cpdag(vertices=("a", "P", "Q"), directed={("P", "Q")}),
+    ):
+        with pytest.raises(MissingColumn, match="vertex 'P'"):
+            bic_of_graph(data, graph)
 
 
 def test_dag_extension_orients_everything():
