@@ -15,7 +15,6 @@ from .citest import (
     InjectedBackend,
     OracleBackend,
     OracleGraph,
-    ci_test,
     d_sep,
     inject_results,
     make_backend,

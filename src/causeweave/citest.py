@@ -12,14 +12,13 @@ Four interchangeable backends produce ``CITestResult`` values for queries
   p-values of 1.0/0.0; used to validate search behavior without noise.
 * ``InjectedBackend`` — fixed p-values from a lookup table.
 
-``CIEngine`` wraps a backend with a shared ``CICache`` so no statistical
+``CIEngine`` wraps a backend with its own ``CICache`` so no statistical
 computation is repeated for the same canonical query, and offers a trace
 facility so callers can assert that a search never re-asks a query.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .dataset import Dataset, joint_codes
+from .dataset import Dataset, joint_codes, read_json
 from .errors import (
     DegenerateTable,
     MixedBackendUnsupported,
@@ -142,14 +141,6 @@ class GTestBackend:
 
     def __init__(self, data: Dataset):
         self.data = data
-        self._codes: dict[str, tuple[np.ndarray, int]] = {}
-
-    def _column(self, name: str) -> tuple[np.ndarray, int]:
-        """``data.codes(name)``, memoized: binning a column is not free."""
-        got = self._codes.get(name)
-        if got is None:
-            got = self._codes[name] = self.data.codes(name)
-        return got
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         return self._result(self._counts(x, y, s))
@@ -179,7 +170,7 @@ class GTestBackend:
         """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``."""
         if self.data.n == 0:
             raise DegenerateTable("cannot test on an empty dataset")
-        columns = [self._column(v) for v in (x, y, *s)]
+        columns = [self.data.codes(v) for v in (x, y, *s)]
         flat, n_cells = joint_codes(columns, self.data.n)
         return np.bincount(flat, minlength=n_cells).reshape([levels for _, levels in columns])
 
@@ -441,12 +432,9 @@ class InjectedBackend:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "InjectedBackend":
-        """Read a JSON array of ``{"x", "y", "s", "p"}`` objects (see
-        ``from_entries``); any other JSON type raises ``ValueError``."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list):
-            raise ValueError("injected results must be a JSON array")
+        """Read a JSON array of ``{"x", "y", "s", "p"}`` objects (see ``from_entries``
+        and ``dataset.read_json``); another JSON type raises ``ValueError``."""
+        raw = read_json(path, list, ValueError, "injected results must be a JSON array")
         return cls.from_entries(raw)
 
     def variable_names(self) -> tuple[str, ...]:
@@ -478,9 +466,9 @@ class CIEngine:
     (hit or miss) within a code region.
     """
 
-    def __init__(self, backend, cache: CICache | None = None):
+    def __init__(self, backend):
         self.backend = backend
-        self.cache = cache if cache is not None else CICache()
+        self.cache = CICache()
         self._trace: list[QueryKey] | None = None
 
     def test(self, x: str, y: str, s=()) -> CITestResult:
@@ -541,15 +529,3 @@ def make_backend(data: Dataset, kind: str = "auto"):
     if kind == BACKEND_FISHERZ:
         return FisherZBackend(data)
     raise ValueError(f"unknown backend {kind!r}")
-
-
-def ci_test(data: Dataset, x: str, y: str, s=(), backend="auto", cache: CICache | None = None) -> CITestResult:
-    """One-shot conditional-independence test against a dataset.
-
-    ``backend`` may be a name (``auto``, ``gtest``, ``fisherz``) or an
-    already-constructed backend object.  Pass a ``CICache`` to share
-    memoization across calls; for heavy use construct a ``CIEngine`` once.
-    """
-    if isinstance(backend, str):
-        backend = make_backend(data, backend)
-    return CIEngine(backend, cache).test(x, y, tuple(s))

@@ -1,7 +1,8 @@
 """Command-line front end: learn, simulate, score, export.
 
 Exit codes: 0 on success, 1 on a computational failure, 2 on a usage or
-input problem.  Failures other than argparse usage errors print one
+input problem: an ``errors.InputError``, a ``ValueError`` or a file that
+cannot be opened.  Failures other than argparse usage errors print one
 machine-readable JSON object to stderr:
 ``{"error": {"type": ..., "message": ...}}``.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import errors
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, InjectedBackend, make_backend
-from .dataset import cap_levels, filter_dominant, load_csv, load_schema
+from .dataset import cap_levels, filter_dominant, load_csv, load_schema, read_input
 from .experiments import (
     ALGORITHMS,
     PROPOSED,
@@ -30,20 +31,18 @@ from .score import bic_of_graph
 from .skeleton_orient import Cpdag, PriorKnowledge, cpdag_from_dot, learn_structure
 
 _INPUT_ERRORS = (
-    errors.SchemaError,
-    errors.UnknownLevel,
-    errors.RowLengthMismatch,
-    errors.MissingColumn,
-    errors.UninjectedQuery,
-    errors.MixedBackendUnsupported,
-    errors.UnknownVertex,
-    errors.PriorKnowledgeCycle,
+    errors.InputError,
+    ValueError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
     PermissionError,
-    ValueError,
 )
+
+_GRAPH_FORMATS = {
+    "json": (Cpdag.to_json, Cpdag.from_json),
+    "dot": (Cpdag.to_dot, cpdag_from_dot),
+}
 
 
 def _add_ci(p: argparse.ArgumentParser) -> None:
@@ -121,11 +120,21 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _graph_format(path: str, fmt: str | None = None):
+    """``(writer, parser)`` of ``fmt``, or of the path's suffix when no
+    format is given: ``.dot`` is DOT, anything else JSON."""
+    return _GRAPH_FORMATS[fmt or ("dot" if path.endswith(".dot") else "json")]
+
+
 def _load_graph(path: str) -> Cpdag:
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".dot"):
-        return cpdag_from_dot(text)
-    return Cpdag.from_json(text)
+    return _graph_format(path)[1](read_input(path))
+
+
+def _check_declared(names) -> None:
+    """Refuse a schema with no variable, over which a learn would print an
+    empty graph; ``score`` reports the graph vertex such a schema lacks."""
+    if not names:
+        raise errors.SchemaError("schema declares no variables")
 
 
 def _emit(obj: dict) -> None:
@@ -138,12 +147,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
         backend = InjectedBackend.from_json(args.data)
         if args.schema:
             variables = [v.name for v in load_schema(args.schema)]
+            _check_declared(variables)
         else:
             variables = list(backend.variable_names())
     else:
         if not args.schema:
             raise ValueError("--schema is required unless --backend injected")
         data = load_csv(args.data, args.schema)
+        _check_declared(data.names)
         if args.cap_levels is not None:
             data = cap_levels(data, coverage=args.cap_levels)
         if args.drop_dominant is not None:
@@ -158,16 +169,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     written = []
     if args.out:
-        if args.fmt == "json":
-            _write(args.out, graph.to_json())
-            written = [args.out]
-        elif args.fmt == "dot":
-            _write(args.out, graph.to_dot())
-            written = [args.out]
-        else:
-            _write(args.out + ".json", graph.to_json())
-            _write(args.out + ".dot", graph.to_dot())
-            written = [args.out + ".json", args.out + ".dot"]
+        written = [args.out] if args.fmt else [f"{args.out}.{fmt}" for fmt in _GRAPH_FORMATS]
+        for path in written:
+            _write(path, _graph_format(path, args.fmt)[0](graph))
     _emit(
         {
             "nv": len(graph.vertices),
@@ -251,8 +255,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     written = []
     if args.out:
-        fmt = args.fmt or ("dot" if args.out.endswith(".dot") else "json")
-        _write(args.out, graph.to_dot() if fmt == "dot" else graph.to_json())
+        _write(args.out, _graph_format(args.out, args.fmt)[0](graph))
         written.append(args.out)
     result: dict = {"out": written, "nv": len(graph.vertices), "ne": len(graph.skeleton_pairs())}
     goal = args.distances_from

@@ -2,7 +2,8 @@
 
 Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
-marked read-only.
+marked read-only.  Every input file is read here: ``load_csv`` streams
+the CSV and ``read_input`` reads the rest.
 """
 
 from __future__ import annotations
@@ -72,12 +73,14 @@ class Dataset:
     columns: dict[str, np.ndarray]
     n: int
     _by_name: dict[str, VariableSchema] = field(init=False, repr=False, compare=False)
+    _codes: dict[str, tuple[np.ndarray, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name = {v.name: v for v in self.schema}
         if len(by_name) != len(self.schema):
             raise SchemaError("duplicate variable names in schema")
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_codes", {})
         if set(self.columns) != set(by_name):
             raise SchemaError("columns do not match schema names")
         for name, col in self.columns.items():
@@ -108,14 +111,18 @@ class Dataset:
         A continuous column is first cut at its quantiles into at most
         ``QUINTILE_BINS`` bins, and tied edges collapse.  Either kind is
         then renumbered to the levels some row has: a declared level or a
-        bin no row falls in is no level.
+        bin no row falls in is no level.  Computed once per column and
+        kept, read-only like ``columns``, for every later caller.
         """
-        col = self.columns[name]
-        if not self.variable(name).is_discrete:
-            qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
-            col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
-        levels, codes = np.unique(col, return_inverse=True)
-        return codes, len(levels)
+        if name not in self._codes:
+            col = self.columns[name]
+            if not self.variable(name).is_discrete:
+                qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
+                col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
+            levels, codes = np.unique(col, return_inverse=True)
+            codes.setflags(write=False)
+            self._codes[name] = (codes, len(levels))
+        return self._codes[name]
 
     def decode(self) -> dict[str, list]:
         """Map encoded columns back to raw cell values (labels / floats)."""
@@ -129,17 +136,28 @@ class Dataset:
         return out
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file: UTF-8, after an optional byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
+def read_json(path: str | Path, kind: type, error: type[Exception], message: str):
+    """The JSON document of an input file (see ``read_input``); raises
+    ``error(message)`` unless its top level is a ``kind``."""
+    raw = json.loads(read_input(path))
+    if not isinstance(raw, kind):
+        raise error(message)
+    return raw
+
+
 def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
-    """Read a schema file: a JSON array of ``{"name", "kind", "levels"?}``
-    with string ``name`` and ``kind`` and ``levels`` a JSON array of
-    strings.  Any other key raises ``SchemaError``.
+    """Read a schema file (see ``read_json``): a JSON array of ``{"name",
+    "kind", "levels"?}`` with string ``name`` and ``kind`` and ``levels`` a
+    JSON array of strings.  Any other key raises ``SchemaError``.
 
     Tiers are prior knowledge and belong in the prior file, not here.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise SchemaError("schema file must contain a JSON array")
+    raw = read_json(path, list, SchemaError, "schema file must contain a JSON array")
     out = []
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:

@@ -5,19 +5,23 @@ class CauseweaveError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SchemaError(CauseweaveError):
+class InputError(CauseweaveError):
+    """Base class of the errors that bad input raises; the CLI exits 2 on one."""
+
+
+class SchemaError(InputError):
     """Schema file is malformed or internally inconsistent."""
 
 
-class UnknownLevel(CauseweaveError):
+class UnknownLevel(InputError):
     """A cell value is not a declared level of its variable."""
 
 
-class RowLengthMismatch(CauseweaveError):
+class RowLengthMismatch(InputError):
     """A CSV row has a different number of cells than the header."""
 
 
-class MissingColumn(CauseweaveError):
+class MissingColumn(InputError):
     """A schema variable has no matching CSV column."""
 
 
@@ -25,15 +29,15 @@ class DegenerateTable(CauseweaveError):
     """A contingency-table query cannot produce a meaningful statistic."""
 
 
-class MixedBackendUnsupported(CauseweaveError):
+class MixedBackendUnsupported(InputError):
     """The requested test backend cannot handle the query's variable kinds."""
 
 
-class UnknownVertex(CauseweaveError):
+class UnknownVertex(InputError):
     """A graph query referenced a vertex that does not exist."""
 
 
-class UninjectedQuery(CauseweaveError):
+class UninjectedQuery(InputError):
     """An injected-results backend received a query outside its table."""
 
 
@@ -45,7 +49,7 @@ class EmptyFamily(CauseweaveError):
     """Neighborhood selection was invoked on an empty candidate family."""
 
 
-class PriorKnowledgeCycle(CauseweaveError):
+class PriorKnowledgeCycle(InputError):
     """Required edges and tier constraints are jointly cyclic."""
 
 

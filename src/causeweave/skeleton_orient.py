@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, Pair, pair_key, topological_order
+from .dataset import read_json
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import forward_step
 from .maximize import NeighborSelection, SeparationRecord, _better, maximization_step
@@ -77,12 +78,10 @@ class PriorKnowledge:
     @classmethod
     def from_json(cls, path: str | Path) -> "PriorKnowledge":
         """Read ``{"tiers": {name: int}, "forbidden": [[a, b]], "required":
-        [[a, b]]}``, every key optional.  Raises ``ValueError`` for another
-        JSON type, an unknown key or a value construction refuses."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("prior file must contain a JSON object")
+        [[a, b]]}`` (see ``dataset.read_json``), every key optional.  Raises
+        ``ValueError`` for another JSON type, an unknown key or a value
+        construction refuses."""
+        raw = read_json(path, dict, ValueError, "prior file must contain a JSON object")
         unknown = set(raw) - {"tiers", "forbidden", "required"}
         if unknown:
             raise ValueError(f"prior file has unknown keys {sorted(unknown)!r}")

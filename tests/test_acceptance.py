@@ -232,7 +232,7 @@ def test_criterion_8_information_criterion_identities():
     empty_zero = bic_of_graph(from_raw(schema, raw), Cpdag(vertices=("a", "b"))).bic == 0.0
     # (c) two-level local deviance equals the dependence statistic, 100 tables
     identity = True
-    from causeweave import ci_test
+    from causeweave import make_backend
 
     for _ in range(100):
         counts = rng.integers(1, 50, size=(2, 2))
@@ -243,7 +243,7 @@ def test_criterion_8_information_criterion_identities():
                 b_cells += [str(ib)] * counts[ia, ib]
         data = from_raw(schema, {"a": a_cells, "b": b_cells})
         fit = fit_local(data, "a", ("b",))
-        g_stat = ci_test(data, "a", "b", backend="gtest").statistic
+        g_stat = CIEngine(make_backend(data, "gtest")).test("a", "b").statistic
         identity &= abs(2.0 * fit.loglik_star - g_stat) <= 1e-8 * max(1.0, g_stat)
     ok = nonneg and empty_zero and identity
     verdict(8, ok, f"gains nonneg: {nonneg}; empty-graph zero: {empty_zero}; deviance identity: {identity}")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from causeweave import CICache, CIEngine, ci_test, inject_results
+from causeweave import CIEngine, inject_results, make_backend
 from causeweave.citest import (
     FisherZBackend,
     GTestBackend,
@@ -38,7 +38,7 @@ def test_exact_independence_gives_p_one():
     # counts [[25,25],[25,25]]: empirical independence, zero statistic.
     a = [0] * 50 + [1] * 50
     b = ([0] * 25 + [1] * 25) * 2
-    res = ci_test(binary_data({"a": a, "b": b}), "a", "b", backend="gtest")
+    res = CIEngine(make_backend(binary_data({"a": a, "b": b}), "gtest")).test("a", "b")
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.p_value == pytest.approx(1.0)
     assert res.dof == 1
@@ -50,7 +50,7 @@ def test_fisherz_zero_correlation_gives_p_one():
     y = np.tile([1.0, -1.0, 1.0, -1.0], n // 4)  # orthogonal to x by design
     schema = (VariableSchema("x", "continuous"), VariableSchema("y", "continuous"))
     data = from_raw(schema, {"x": list(x), "y": list(y)})
-    res = ci_test(data, "x", "y", backend="fisherz")
+    res = CIEngine(make_backend(data, "fisherz")).test("x", "y")
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.p_value == pytest.approx(1.0)
 
@@ -58,7 +58,7 @@ def test_fisherz_zero_correlation_gives_p_one():
 def test_g_statistic_matches_entropy_oracle(rng):
     arrays = {n: rng.integers(0, 2, size=200) for n in ("a", "b", "c")}
     data = discrete_data(arrays, 2)
-    res = ci_test(data, "a", "b", ("c",), backend="gtest")
+    res = CIEngine(make_backend(data, "gtest")).test("a", "b", ("c",))
     counts = np.zeros((2, 2, 2))
     for i in range(200):
         counts[arrays["a"][i], arrays["b"][i], arrays["c"][i]] += 1
@@ -81,14 +81,14 @@ def test_gtest_empty_stratum_excluded_from_dof(rng):
         schema,
         {"a": [str(v) for v in a], "b": [str(v) for v in b], "c": [str(v) for v in c]},
     )
-    res = ci_test(data, "a", "b", ("c",), backend="gtest")
+    res = CIEngine(make_backend(data, "gtest")).test("a", "b", ("c",))
     assert res.dof == 1 * 1 * 2
 
 
 def test_low_power_flag(rng):
     arrays = {n: rng.integers(0, 3, size=30) for n in ("a", "b", "c")}
     data = discrete_data(arrays, 3)
-    res = ci_test(data, "a", "b", ("c",), backend="gtest")
+    res = CIEngine(make_backend(data, "gtest")).test("a", "b", ("c",))
     assert res.dof >= 8
     assert res.low_power  # 30 < 5 * dof
 
@@ -100,10 +100,10 @@ def test_gtest_invariant_under_relabeling_and_swap(data_strategy):
     rng = np.random.default_rng(seed)
     arrays = {n: rng.integers(0, 2, size=80) for n in ("a", "b")}
     base = discrete_data(arrays, 2)
-    res = ci_test(base, "a", "b", backend="gtest")
-    swapped = ci_test(base, "b", "a", backend="gtest")
+    res = CIEngine(make_backend(base, "gtest")).test("a", "b")
+    swapped = CIEngine(make_backend(base, "gtest")).test("b", "a")
     relabeled = discrete_data({"a": 1 - arrays["a"], "b": arrays["b"]}, 2)
-    rel = ci_test(relabeled, "a", "b", backend="gtest")
+    rel = CIEngine(make_backend(relabeled, "gtest")).test("a", "b")
     assert res.statistic == pytest.approx(swapped.statistic, abs=1e-12)
     assert res.statistic == pytest.approx(rel.statistic, rel=1e-12, abs=1e-12)
     assert res.p_value == pytest.approx(rel.p_value, rel=1e-12, abs=1e-12)
@@ -125,15 +125,17 @@ def test_fisherz_affine_invariance(scale, shift, seed):
         schema = tuple(VariableSchema(n, "continuous") for n in sorted(cols))
         return from_raw(schema, {n: list(v) for n, v in cols.items()})
 
-    res = ci_test(dataset(block[:, 0]), "x", "y", ("z",), backend="fisherz")
-    res2 = ci_test(dataset(scale * block[:, 0] + shift), "x", "y", ("z",), backend="fisherz")
+    res = CIEngine(make_backend(dataset(block[:, 0]), "fisherz")).test("x", "y", ("z",))
+    res2 = CIEngine(make_backend(dataset(scale * block[:, 0] + shift), "fisherz")).test(
+        "x", "y", ("z",)
+    )
     assert res.p_value == pytest.approx(res2.p_value, rel=1e-9, abs=1e-12)
 
 
 def test_fisherz_rejects_discrete():
     data = binary_data({"a": [0, 1, 0, 1], "b": [0, 0, 1, 1]})
     with pytest.raises(MixedBackendUnsupported):
-        ci_test(data, "a", "b", backend="fisherz")
+        CIEngine(make_backend(data, "fisherz")).test("a", "b")
 
 
 def test_auto_backend_bins_mixed_queries(rng):
@@ -145,20 +147,19 @@ def test_auto_backend_bins_mixed_queries(rng):
         VariableSchema("x", "continuous"),
     )
     data = from_raw(schema, {"d": [str(v) for v in disc], "x": list(cont)})
-    res = ci_test(data, "d", "x", backend="auto")
+    res = CIEngine(make_backend(data, "auto")).test("d", "x")
     assert res.backend == "gtest"  # mixed query went through binning
     assert res.p_value < 0.01  # strong dependence survives the bins
     assert res.dof == (2 - 1) * (5 - 1)
 
 
 def test_cache_counters_and_symmetry():
-    cache = CICache()
-    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES), cache)
+    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
     first = engine.test("X", "Y", ("Z",))
     again = engine.test("Y", "X", ("Z",))
     assert first == again
-    assert cache.misses == 1 and cache.hits == 1
-    assert len(cache) == 1
+    assert engine.cache.misses == 1 and engine.cache.hits == 1
+    assert len(engine.cache) == 1
 
 
 def test_canonical_key_validation():
@@ -213,7 +214,7 @@ def test_empty_dataset_is_degenerate():
 
     data = binary_data({"a": [], "b": []})
     with pytest.raises(DegenerateTable):
-        ci_test(data, "a", "b", backend="gtest")
+        CIEngine(make_backend(data, "gtest")).test("a", "b")
 
 
 @pytest.mark.parametrize(
@@ -231,7 +232,7 @@ def test_gtest_dof_counts_non_empty_bins_of_tied_column(c_schema, cells, levels)
     schema = (VariableSchema("b", "categorical", ("0", "1")), c_schema)
     data = from_raw(schema, {"b": ["0", "1"] * 30, "c": cells * 6})
     assert data.codes("c")[1] == levels
-    assert ci_test(data, "c", "b", backend="gtest").dof == levels - 1
+    assert CIEngine(make_backend(data, "gtest")).test("c", "b").dof == levels - 1
 
 
 def reference_p_value(res) -> float:
@@ -280,12 +281,12 @@ def test_p_values_match_reference_at_edges():
     }
     schema = tuple(VariableSchema(v, "continuous") for v in cols)
     data = from_raw(schema, {v: list(c) for v, c in cols.items()})
-    z0 = ci_test(data, "x", "y", backend="fisherz")
-    up = ci_test(data, "x", "up", backend="fisherz")
-    down = ci_test(data, "x", "down", backend="fisherz")
-    flat = ci_test(data, "x", "const", backend="gtest")
-    same = ci_test(data, "x", "up", backend="gtest")
-    indep = ci_test(data, "x", "y", backend="gtest")
+    z0 = CIEngine(make_backend(data, "fisherz")).test("x", "y")
+    up = CIEngine(make_backend(data, "fisherz")).test("x", "up")
+    down = CIEngine(make_backend(data, "fisherz")).test("x", "down")
+    flat = CIEngine(make_backend(data, "gtest")).test("x", "const")
+    same = CIEngine(make_backend(data, "gtest")).test("x", "up")
+    indep = CIEngine(make_backend(data, "gtest")).test("x", "y")
     assert z0.statistic == 0.0
     assert 35 < up.statistic < 40 and -40 < down.statistic < -35 and up.p_value > 0.0
     assert flat.dof == 0 and flat.p_value == 1.0

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, cap_levels, learn_structure, load_csv
+from causeweave import CIEngine, cap_levels, errors, learn_structure, load_csv
 from causeweave.citest import make_backend
 from causeweave.cli import main
 from conftest import EXAMPLE1_ENTRIES
@@ -409,6 +410,31 @@ def assert_input_error(code, stdout, stderr, error_type, out):
     assert not out.exists()
 
 
+def error_classes(cls=errors.CauseweaveError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+def test_each_error_class_sets_its_exit_code(monkeypatch, capsys):
+    # Every package error, found by walking the hierarchy, raised inside main.
+    codes = {}
+    for cls in error_classes():
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr("causeweave.cli._check", fail)
+        code, stdout, stderr = run(capsys, "export", "g.json")
+        assert stdout == "" and json.loads(stderr)["error"]["type"] == cls.__name__
+        assert code == (2 if issubclass(cls, errors.InputError) else 1), cls.__name__
+        codes[cls.__name__] = code
+    # A new error class is exercised above; one that exits 2 must also be named here.
+    assert sorted(name for name, code in codes.items() if code == 2) == [
+        "InputError", "MissingColumn", "MixedBackendUnsupported", "PriorKnowledgeCycle",
+        "RowLengthMismatch", "SchemaError", "UninjectedQuery", "UnknownLevel", "UnknownVertex",
+    ]
+
+
 def test_learn_schema_with_tier_exits_2(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(
@@ -539,6 +565,58 @@ def test_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys, al
         assert code == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+# Each input file other than the CSV, and a run that reads it.
+BOM_RUNS = {
+    "schema.json": ["learn", "--data", "d.csv", "--schema", "schema.json"],
+    "prior.json": ["learn", "--data", "results.json", "--backend", "injected",
+                   "--prior", "prior.json"],
+    "results.json": ["learn", "--data", "results.json", "--backend", "injected"],
+    "g.json": ["export", "g.json"],
+    "g.dot": ["export", "g.dot"],
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_RUNS))
+def test_input_file_with_a_byte_order_mark_reads_as_the_plain_file(
+    tmp_path, monkeypatch, capsys, example1_file, name
+):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    write_ab_data(plain)
+    (plain / "schema.json").write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+    shutil.copy(example1_file, plain / "results.json")
+    (plain / "prior.json").write_text(json.dumps({"tiers": {"Y": 0, "X": 1, "Z": 1}}))
+    monkeypatch.chdir(plain)
+    assert run(capsys, "learn", "--data", "results.json", "--backend", "injected",
+               "--out", "g")[0] == 0
+    marked = tmp_path / "marked"
+    shutil.copytree(plain, marked)
+    (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    outcomes = []
+    for where in (plain, marked):
+        # Same relative paths on both sides, so stdout can be compared too.
+        monkeypatch.chdir(where)
+        code, stdout, _ = run(capsys, *BOM_RUNS[name], "--out", "out.json", "--format", "json")
+        outcomes.append((code, stdout, Path("out.json").read_bytes()))
+    assert outcomes[0][0] == 0
+    assert outcomes[1] == outcomes[0]
+
+
+@pytest.mark.parametrize("backend", ["auto", "injected"])
+def test_learn_empty_schema_exits_2(tmp_path, capsys, example1_file, backend):
+    # `score` with an empty schema exits 2 on the first graph vertex the data
+    # lacks (test_score_graph_vertex_missing_from_the_data_exits_2).
+    schema = tmp_path / "schema.json"
+    schema.write_text("[]")
+    data = example1_file if backend == "injected" else str(write_ab_data(tmp_path))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", data, "--backend", backend, "--schema", str(schema),
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "SchemaError", out)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from causeweave import bic_of_graph, ci_test, fit_local
+from causeweave import CIEngine, bic_of_graph, fit_local, make_backend
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.errors import MissingColumn
 from causeweave.score import dag_extension
@@ -38,7 +38,7 @@ def test_empty_parents_is_null_model():
 def test_binary_local_gain_equals_half_g_statistic():
     data = binary_counts_data([[30, 10], [10, 30]])
     fit = fit_local(data, "a", ("b",))
-    g = ci_test(data, "a", "b", backend="gtest").statistic
+    g = CIEngine(make_backend(data, "gtest")).test("a", "b").statistic
     assert fit.loglik_star == pytest.approx(g / 2.0, rel=1e-10)
     assert fit.df == 1
 
@@ -48,7 +48,7 @@ def test_half_g_identity_on_random_tables(rng):
         counts = rng.integers(1, 40, size=(2, 2)).tolist()
         data = binary_counts_data(counts)
         fit = fit_local(data, "a", ("b",))
-        g = ci_test(data, "a", "b", backend="gtest").statistic
+        g = CIEngine(make_backend(data, "gtest")).test("a", "b").statistic
         assert fit.loglik_star == pytest.approx(g / 2.0, rel=1e-8, abs=1e-10)
 
 
