@@ -7,7 +7,8 @@ Four interchangeable backends produce ``CITestResult`` values for queries
   contingency tables (the statistic is twice the sample size times the
   plug-in conditional mutual information), chi-square reference.
 * ``FisherZBackend`` — partial-correlation z-test for all-continuous
-  queries, driven by one precomputed correlation matrix.
+  queries, driven by one precomputed correlation matrix; a batch inverts
+  its same-size correlation blocks in one stacked ``pinv``.
 * ``OracleBackend`` — exact graph separation on a known DAG, returning
   p-values of 1.0/0.0; used to validate search behavior without noise.
 * ``InjectedBackend`` — fixed p-values from a lookup table.
@@ -15,6 +16,10 @@ Four interchangeable backends produce ``CITestResult`` values for queries
 ``CIEngine`` wraps a backend with its own ``CICache`` so no statistical
 computation is repeated for the same canonical query, and offers a trace
 facility so callers can assert that a search never re-asks a query.
+``CIEngine.p_values`` asks a round of queries that share one anchor at
+once: the G-test, Fisher-z and auto backends answer its uncached keys in
+one ``compute_many`` call, bitwise equal to one ``compute`` per key, while
+the oracle and injected backends are asked one by one.
 """
 
 from __future__ import annotations
@@ -145,26 +150,38 @@ class GTestBackend:
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         return self._result(self._counts(x, y, s))
 
-    def compute_many(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> list[CITestResult]:
-        """``[compute(x, y, s) for s in subsets]``, bitwise, with fewer row
-        scans.  Subsets are visited from largest to smallest; a subset with
-        a superset counted from the rows in this call takes its table as a
-        sum over that table's extra axes (integer counts, so exact), and is
-        counted from the rows only otherwise."""
-        tables: dict[tuple[str, ...], np.ndarray] = {}
-        counted: list[tuple[tuple[str, ...], frozenset[str]]] = []
-        for s in sorted(dict.fromkeys(subsets), key=len, reverse=True):
-            members = frozenset(s)
-            sup = next((t for t, t_set in counted if members <= t_set), None)
-            if sup is None:
-                tables[s] = self._counts(x, y, s)
-                counted.append((s, members))
+    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """``[compute(*key) for key in keys]``, bitwise, with fewer row scans.
+
+        Keys are grouped by pair, and a pair with a single subset goes
+        through ``compute``.  Otherwise the pair's subsets are visited from
+        largest to smallest; a subset with a superset counted from the rows
+        in this call takes its table as a sum over that table's extra axes
+        (integer counts, so exact), and is counted from the rows only
+        otherwise."""
+        by_pair: dict[Pair, list[tuple[str, ...]]] = {}
+        for x, y, s in keys:
+            by_pair.setdefault((x, y), []).append(s)
+        results: dict[QueryKey, CITestResult] = {}
+        for (x, y), subsets in by_pair.items():
+            if len(subsets) == 1:
+                results[(x, y, subsets[0])] = self.compute(x, y, subsets[0])
                 continue
-            kept = [v for v in sup if v in members]
-            extra = tuple(2 + i for i, v in enumerate(sup) if v not in members)
-            order = [2 + kept.index(v) for v in s]
-            tables[s] = tables[sup].sum(axis=extra).transpose(0, 1, *order)
-        return [self._result(tables[s]) for s in subsets]
+            tables: dict[tuple[str, ...], np.ndarray] = {}
+            counted: list[tuple[tuple[str, ...], frozenset[str]]] = []
+            for s in sorted(dict.fromkeys(subsets), key=len, reverse=True):
+                members = frozenset(s)
+                sup = next((t for t, t_set in counted if members <= t_set), None)
+                if sup is None:
+                    tables[s] = self._counts(x, y, s)
+                    counted.append((s, members))
+                    continue
+                # Both subsets are sorted, so the kept axes stay in s's order.
+                extra = tuple(2 + i for i, v in enumerate(sup) if v not in members)
+                tables[s] = tables[sup].sum(axis=extra)
+            for s in subsets:
+                results[(x, y, s)] = self._result(tables[s])
+        return [results[key] for key in keys]
 
     def _counts(self, x: str, y: str, s: tuple[str, ...]) -> np.ndarray:
         """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``."""
@@ -215,18 +232,51 @@ class FisherZBackend:
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         if self.n == 0:
             raise DegenerateTable("cannot test on an empty dataset")
-        try:
-            idx = [self._pos[x], self._pos[y]] + [self._pos[v] for v in s]
-        except KeyError as exc:
-            raise MixedBackendUnsupported(
-                f"fisher-z requires continuous variables; {exc.args[0]!r} is not"
-            ) from None
+        idx = self._block(x, y, s)
         scale = self.n - len(s) - 3
         if scale <= 0:
             return CITestResult(1.0, 0.0, 0, self.name, low_power=True)
         prec = np.linalg.pinv(self.corr[np.ix_(idx, idx)])
-        denom = prec[0, 0] * prec[1, 1]
-        r = -prec[0, 1] / math.sqrt(denom) if denom > 0 else 0.0
+        return self._result(prec[0, 0], prec[1, 1], prec[0, 1], scale)
+
+    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """``[compute(*key) for key in keys]``, bitwise, with one stacked
+        ``pinv`` per block size.
+
+        ``pinv`` of a stack runs the same SVD and per-matrix cutoff on each
+        block as it does alone.  A size with a single key, or whose tests
+        are all low-power, goes through ``compute``."""
+        by_size: dict[int, list[int]] = {}
+        for i, (_, _, s) in enumerate(keys):
+            by_size.setdefault(len(s), []).append(i)
+        results: list[CITestResult | None] = [None] * len(keys)
+        for size, rows in by_size.items():
+            scale = self.n - size - 3
+            if len(rows) == 1 or scale <= 0:
+                for i in rows:
+                    results[i] = self.compute(*keys[i])
+                continue
+            idx = np.array([self._block(*keys[i]) for i in rows])
+            precs = np.linalg.pinv(self.corr[idx[:, :, None], idx[:, None, :]])
+            # The three entries as Python floats: the same IEEE arithmetic
+            # as on NumPy scalars, without their per-element overhead.
+            for i, entries in zip(rows, precs[:, [0, 1, 0], [0, 1, 1]].tolist()):
+                results[i] = self._result(*entries, scale)
+        return results
+
+    def _block(self, x: str, y: str, s: tuple[str, ...]) -> list[int]:
+        """Correlation-matrix rows of ``x``, ``y`` and then ``s``."""
+        try:
+            return [self._pos[x], self._pos[y]] + [self._pos[v] for v in s]
+        except KeyError as exc:
+            raise MixedBackendUnsupported(
+                f"fisher-z requires continuous variables; {exc.args[0]!r} is not"
+            ) from None
+
+    def _result(self, xx: float, yy: float, xy: float, scale: int) -> CITestResult:
+        """The z-test from the precision entries of ``x`` and ``y``."""
+        denom = xx * yy
+        r = -xy / math.sqrt(denom) if denom > 0 else 0.0
         r = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
         statistic = math.sqrt(scale) * math.atanh(r)
         p_value = float(2.0 * special.ndtr(-abs(statistic)))
@@ -247,20 +297,27 @@ class AutoBackend:
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         if self._continuous(x, y, s):
-            if self._fisherz is None:
-                self._fisherz = FisherZBackend(self.data)
-            return self._fisherz.compute(x, y, s)
+            return self._z().compute(x, y, s)
         return self._gtest.compute(x, y, s)
 
-    def compute_many(self, x: str, y: str, subsets: list[tuple[str, ...]]) -> list[CITestResult]:
-        """``[compute(x, y, s) for s in subsets]``: the all-continuous
-        subsets one by one on the z-test, the rest in one G-test batch."""
-        tables = [s for s in subsets if not self._continuous(x, y, s)]
-        batch = dict(zip(tables, self._gtest.compute_many(x, y, tables)))
-        return [batch[s] if s in batch else self.compute(x, y, s) for s in subsets]
+    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """``[compute(*key) for key in keys]``: the all-continuous keys in
+        one z-test batch, the rest in one G-test batch."""
+        tables, continuous = [], []
+        for key in keys:
+            (continuous if self._continuous(*key) else tables).append(key)
+        results = dict(zip(tables, self._gtest.compute_many(tables)))
+        if continuous:
+            results.update(zip(continuous, self._z().compute_many(continuous)))
+        return [results[key] for key in keys]
 
     def _continuous(self, x: str, y: str, s: tuple[str, ...]) -> bool:
         return all(not self.data.is_discrete(v) for v in (x, y, *s))
+
+    def _z(self) -> FisherZBackend:
+        if self._fisherz is None:
+            self._fisherz = FisherZBackend(self.data)
+        return self._fisherz
 
 
 def topological_order(vertices, edges) -> tuple[str, ...]:
@@ -484,26 +541,25 @@ class CIEngine:
     def p_value(self, x: str, y: str, s=()) -> float:
         return self.test(x, y, s).p_value
 
-    def p_values(self, x: str, y: str, subsets) -> list[float]:
-        """``[p_value(x, y, s) for s in subsets]``, batched when the backend
-        has ``compute_many``.
+    def p_values(self, x: str, queries) -> list[float]:
+        """``[p_value(x, y, s) for y, s in queries]``, batched when the
+        backend has ``compute_many``.
 
-        A backend without it (Fisher-z, oracle, injected) is asked exactly
-        those one-by-one ``test`` calls.  Otherwise the keys, trace entries
-        and cache counts are those of the one-by-one calls, and the
-        uncached queries go to one ``backend.compute_many(a, b, subsets)``
-        in subset order.
+        A backend without it (oracle, injected) is asked exactly those
+        one-by-one ``test`` calls.  Otherwise the keys, trace entries and
+        cache counts are those of the one-by-one calls, and the uncached
+        keys, which may belong to different pairs, go to one
+        ``backend.compute_many(keys)`` in query order.
         """
         compute_many = getattr(self.backend, "compute_many", None)
         if compute_many is None:
-            return [self.test(x, y, s).p_value for s in subsets]
-        keys = [canonical_key(x, y, s) for s in subsets]
+            return [self.test(x, y, s).p_value for y, s in queries]
+        keys = [canonical_key(x, y, s) for y, s in queries]
         if self._trace is not None:
             self._trace.extend(keys)
         found, missing = self.cache.lookup_many(keys)
         if missing:
-            a, b, _ = missing[0]
-            for key, result in zip(missing, compute_many(a, b, [s for _, _, s in missing])):
+            for key, result in zip(missing, compute_many(missing)):
                 self.cache.store(key, result)
                 found[key] = result
         return [found[key].p_value for key in keys]

@@ -150,6 +150,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
             _check_declared(variables)
         else:
             variables = list(backend.variable_names())
+            if not variables:
+                raise errors.InputError("injected results name no variables")
     else:
         if not args.schema:
             raise ValueError("--schema is required unless --backend injected")

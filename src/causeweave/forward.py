@@ -86,26 +86,27 @@ class ForwardSearch:
         ``run`` does; their intersection, restricted to variables after the
         highest-ranked member, bounds the result.
         """
+        members = self._sorted(s)
         if not s:
-            result = frozenset(t for t in self.order if self._dependent(t, ()))
+            candidates = list(self.order)
         else:
-            members = self._sorted(s)
             upper = frozenset.intersection(*(self.memo[s - {v}] for v in members))
             later = self.order[self.rank[members[-1]] + 1 :]
             candidates = [t for t in later if t in upper]
-            if len(s) > self.m_ci:
-                result = frozenset(candidates)
-            else:
-                accepted = []
-                for t in candidates:
-                    if not self._dependent(t, members):
-                        continue
-                    if all(
-                        self._dependent(drop, self._sorted((s - {drop}) | {t}))
-                        for drop in members
-                    ):
-                        accepted.append(t)
-                result = frozenset(accepted)
+        if len(s) > self.m_ci:
+            result = frozenset(candidates)
+        else:
+            # Every candidate's first test in one batch; the leave-one-out
+            # tests stay lazy, since ``all`` stops at the first that fails.
+            first = self.engine.p_values(self.target, [(t, members) for t in candidates])
+            result = frozenset(
+                t
+                for t, p in zip(candidates, first)
+                if p <= self.alpha
+                and all(
+                    self._dependent(drop, self._sorted((s - {drop}) | {t})) for drop in members
+                )
+            )
         self.memo[s] = result
         return result
 

@@ -9,7 +9,11 @@ A candidate's quality is the minimum separation score over all
 non-members: a good neighborhood lets some subset of itself separate the
 target from everything else.  Selection scans candidates with a running
 floor so hopeless candidates are abandoned on the first non-member they
-fail to separate.  The winner's scores against every other variable are
+fail to separate.  A score is at least its marginal p-value (the empty
+subset is always tested), so only a non-member whose marginal p-value is at
+or below the floor can stop the scan: the non-members are scored in batches
+that each end at such a variable, and nothing after a stop is ever asked.
+The winner's scores against every other variable are
 kept with the selection; the skeleton reads its p-values and separating
 sets from them without testing again.
 """
@@ -71,9 +75,8 @@ class SepComputer:
     given the subset, as a :class:`SeparationRecord` with the witness subset
     attaining it; ties prefer the lexicographically smallest witness.  The
     p-value of each (other, subset) is asked of the engine at most once per
-    computer: one ``score`` asks for all of its subsets missing from the
-    memo in a single ``CIEngine.p_values`` batch, in the order a one-by-one
-    loop would.
+    computer: ``scores(others, n)`` asks for all of its (other, subset)
+    pairs missing from the memo in a single ``CIEngine.p_values`` batch.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
@@ -83,28 +86,31 @@ class SepComputer:
         self._p: dict[str, dict[Witness, float]] = {}
 
     def score(self, other: str, n) -> SeparationRecord:
+        return self.scores([other], n)[0]
+
+    def scores(self, others, n) -> list[SeparationRecord]:
+        """``[score(other, n) for other in others]``, asked as one batch."""
         n = sorted(set(n))
-        if other == self.anchor or other in n or self.anchor in n:
-            raise ValueError(
-                f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
-            )
-        memo = self._p.setdefault(other, {})
-        best = (-1.0, ())
-        missing = []
-        for size in range(min(len(n), self.m_ci) + 1):
-            for sub in combinations(n, size):
-                p = memo.get(sub)
-                if p is None:
-                    missing.append(sub)
-                else:
-                    best = _better(best, (p, sub))
-        # _better is a maximum under one total order, so visiting the
-        # batch's subsets last picks the same winner.
-        if missing:
-            for sub, p in zip(missing, self.engine.p_values(self.anchor, other, missing)):
-                memo[sub] = p
-                best = _better(best, (p, sub))
-        return SeparationRecord(*best)
+        sizes = range(min(len(n), self.m_ci) + 1)
+        subsets = [sub for size in sizes for sub in combinations(n, size)]
+        queries = []
+        for other in others:
+            if other == self.anchor or other in n or self.anchor in n:
+                raise ValueError(
+                    f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
+                )
+            memo = self._p.setdefault(other, {})
+            queries += [(other, sub) for sub in subsets if sub not in memo]
+        for (other, sub), p in zip(queries, self.engine.p_values(self.anchor, queries)):
+            self._p[other][sub] = p
+        records = []
+        for other in others:
+            memo = self._p[other]
+            best = (-1.0, ())
+            for sub in subsets:
+                best = _better(best, (memo[sub], sub))
+            records.append(SeparationRecord(*best))
+        return records
 
 
 def q_value(
@@ -115,18 +121,27 @@ def q_value(
 
     Returns positive infinity when there is no outside variable.  As soon as
     any score drops to ``floor`` or below, that score is returned directly:
-    the minimum cannot beat the floor anymore.
+    the minimum cannot beat the floor anymore.  A score is at least its
+    marginal p-value, so only an other whose marginal p-value is at or below
+    ``floor`` can end the scan; the others are cut into runs that each end
+    at such a variable, and each run is scored as one batch.
     """
     x = computer.anchor
     n = frozenset(n)
     if x in n or not n <= set(variables):
         raise ValueError(f"candidate set {sorted(n)!r} invalid for target {x!r}")
+    others = sorted(set(variables) - n - {x})
+    marginals = computer.scores(others, ())
     q = math.inf
-    for other in sorted(set(variables) - n - {x}):
-        value = computer.score(other, n).p_value
-        if value <= floor:
-            return value
-        q = min(q, value)
+    start = 0
+    for end, marginal in enumerate(marginals, 1):
+        if marginal.p_value > floor and end < len(others):
+            continue
+        for record in computer.scores(others[start:end], n):
+            if record.p_value <= floor:
+                return record.p_value
+            q = min(q, record.p_value)
+        start = end
     return q
 
 

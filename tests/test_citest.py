@@ -310,7 +310,9 @@ def bits(res):
 
 def edge_case_data(rng, n):
     """Columns of 2-4 levels plus the awkward ones: a constant column, a
-    continuous column with tied quantile edges, a declared level no row has."""
+    continuous column with tied quantile edges, a declared level no row has;
+    and continuous columns for the z-test, among them a copy of ``u`` and a
+    constant, so that some correlation blocks are singular."""
     cols = {name: rng.integers(0, k, size=n) for name, k in zip("abcde", (2, 3, 4, 3, 2))}
     schema = [VariableSchema(name, "categorical", ("0", "1", "2", "3")) for name in cols]
     raw = {name: [str(v) for v in col] for name, col in cols.items()}
@@ -320,72 +322,107 @@ def edge_case_data(rng, n):
     raw["t"] = [float(v) for v in rng.choice([0.0, 0.0, 0.0, 1.0, 2.0], size=n)]
     schema.append(VariableSchema("u", "continuous"))
     raw["u"] = list(rng.normal(size=n))
+    schema += [VariableSchema(name, "continuous") for name in ("v", "w", "z")]
+    raw["v"] = list(raw["u"])
+    raw["w"] = list(np.array(raw["u"]) + rng.normal(size=n))
+    raw["z"] = [0.5] * n
     return from_raw(tuple(schema), raw)
+
+
+TABLE_NAMES = ("a", "b", "c", "d", "e", "k", "t", "u")
+TABLE_PAIRS = [("a", "b"), ("k", "c"), ("t", "d"), ("u", "t"), ("e", "u")]
+CONTINUOUS = ("t", "u", "v", "w", "z")
+CONTINUOUS_PAIRS = [("u", "t"), ("w", "v"), ("u", "v"), ("z", "w"), ("t", "z")]
 
 
 def random_subsets(rng, names, count):
     out = [()]
     for _ in range(count):
         size = int(rng.integers(0, 4))
-        sub = tuple(rng.choice(names, size=size, replace=False).tolist())
-        # Canonical (sorted) subsets, and some in another order.
-        out.append(sub if rng.random() < 0.3 else tuple(sorted(sub)))
+        out.append(tuple(rng.choice(names, size=size, replace=False).tolist()))
     return out
 
 
-@pytest.mark.parametrize("n", [3000, 40], ids=["large", "low-power"])
-@pytest.mark.parametrize("backend_kind", ["gtest", "auto"])
-def test_compute_many_equals_compute_bitwise(rng, n, backend_kind):
+def mixed_keys(rng, names, pairs, chains):
+    """Canonical keys of several pairs and block sizes, shuffled together:
+    random subsets of ``names``, and with ``chains`` nested chains as well
+    as disjoint sets."""
+    keys = []
+    for x, y in pairs:
+        rest = [v for v in names if v not in (x, y)]
+        subsets = random_subsets(rng, rest, 12)
+        if chains:
+            subsets += [tuple(rest[:3]), tuple(rest[:2]), tuple(rest[1:2]), tuple(rest[3:6])]
+        keys += [canonical_key(x, y, s) for s in subsets]
+    return [keys[i] for i in rng.permutation(len(keys))]
+
+
+@pytest.mark.parametrize("power", ["large", "low-power"])
+@pytest.mark.parametrize("backend_kind", ["gtest", "auto", "fisherz"])
+def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_kind):
+    # A table test is low-power at n < 5 * dof, a z-test only at
+    # n - |s| - 3 <= 0: at 5 rows, for every subset of two or more.
+    n = 3000 if power == "large" else 40 if backend_kind == "gtest" else 5
     data = edge_case_data(rng, n)
     assert data.codes("t")[1] < 5 and data.codes("k")[1] == 1
     backend = make_backend(data, backend_kind)
-    pairs = [("a", "b"), ("k", "c"), ("t", "d"), ("u", "t"), ("e", "u")]
+    stacks = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: stacks.append(a.ndim == 3) or pinv(a))
     low_power = 0
-    for x, y in pairs:
-        rest = [v for v in data.names if v not in (x, y)]
-        for trial in range(4):
-            subsets = random_subsets(rng, rest, 12)
-            if trial == 0:
-                # Nested chains as well as disjoint sets.
-                subsets += [tuple(rest[:3]), tuple(rest[:2]), tuple(rest[1:2]), tuple(rest[3:6])]
-            got = backend.compute_many(x, y, subsets)
-            expected = [backend.compute(x, y, s) for s in subsets]
-            assert list(map(bits, got)) == list(map(bits, expected)), (x, y, subsets)
-            low_power += sum(r.low_power for r in got)
-    assert (low_power > 0) == (n == 40)
-    assert backend.compute_many("a", "b", []) == []
+    for trial in range(4):
+        keys = []
+        if backend_kind != "fisherz":
+            keys += mixed_keys(rng, TABLE_NAMES, TABLE_PAIRS, trial == 0)
+        if backend_kind != "gtest":
+            keys += mixed_keys(rng, CONTINUOUS, CONTINUOUS_PAIRS, trial == 0)
+        got = backend.compute_many(keys)
+        expected = [backend.compute(*key) for key in keys]
+        assert list(map(bits, got)) == list(map(bits, expected)), keys
+        low_power += sum(r.low_power for r in got)
+    assert (low_power > 0) == (power == "low-power")
+    assert any(stacks) == (backend_kind != "gtest")
+    assert backend.compute_many([]) == []
+    if backend_kind == "fisherz":
+        # A discrete name, in a stack and in a block size of its own.
+        for key in (("a", "u", ()), ("u", "w", ("k",))):
+            with pytest.raises(MixedBackendUnsupported, match="'[ak]' is not"):
+                backend.compute_many([("t", "u", ()), ("t", "v", ("w",)), key, ("v", "w", ())])
 
 
 def test_p_values_matches_one_by_one_tests(rng):
     data = edge_case_data(rng, 500)
     batches = [
-        ("a", "b", [(), ("c",), ("c", "d"), ("d", "c"), ("c",), ("e", "k", "t")]),
-        ("b", "a", [("c",), ("t",), ()]),
-        ("u", "t", [("a",), (), ("a", "b")]),
-        ("t", "u", []),
-        ("u", "t", [("a", "b"), ("e",)]),
+        ("a", [("b", ()), ("b", ("c",)), ("b", ("c", "d")), ("b", ("d", "c")), ("b", ("c",)),
+               ("b", ("e", "k", "t"))]),
+        ("b", [("a", ("c",)), ("a", ("t",)), ("a", ())]),
+        # Table tests and z-tests of several pairs in one batch.
+        ("u", [("t", ("a",)), ("w", ()), ("t", ()), ("v", ("w",)), ("t", ("a", "b")),
+               ("w", ("t",))]),
+        ("t", []),
+        ("t", [("u", ("a", "b")), ("u", ("e",)), ("z", ("u",))]),
     ]
     batched = CIEngine(make_backend(data, "auto"))
     single = CIEngine(make_backend(data, "auto"))
     with batched.trace() as batched_log, single.trace() as single_log:
-        for x, y, subsets in batches:
-            got = batched.p_values(x, y, subsets)
-            assert got == [single.p_value(x, y, s) for s in subsets]
+        for x, queries in batches:
+            got = batched.p_values(x, queries)
+            assert got == [single.p_value(x, y, s) for y, s in queries]
     assert batched_log == single_log
     assert list(batched.cache._store) == list(single.cache._store)
     assert (batched.cache.hits, batched.cache.misses) == (single.cache.hits, single.cache.misses)
     assert batched.cache.hits == 5
     with pytest.raises(ValueError, match="contains a query variable"):
-        batched.p_values("a", "b", [("c",), ("a",)])
+        batched.p_values("a", [("b", ("c",)), ("b", ("a",))])
     with pytest.raises(ValueError, match="must differ"):
-        batched.p_values("a", "a", [()])
+        batched.p_values("a", [("a", ())])
 
 
 def test_p_values_loops_over_a_backend_without_compute_many():
     engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
     assert not hasattr(engine.backend, "compute_many")
-    assert engine.p_values("Y", "X", [(), ("Z",)]) == [0.01, 0.30]
+    assert engine.p_values("Y", [("X", ()), ("X", ("Z",))]) == [0.01, 0.30]
     # The first uninjected query raises, after the ones before it are stored.
     with pytest.raises(UninjectedQuery, match="'W'"):
-        engine.p_values("Y", "Z", [(), ("W",), ("V",)])
+        engine.p_values("Y", [("Z", ()), ("Z", ("W",)), ("Z", ("V",))])
     assert ("Y", "Z", ()) in engine.cache._store

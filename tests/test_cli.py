@@ -619,6 +619,17 @@ def test_learn_empty_schema_exits_2(tmp_path, capsys, example1_file, backend):
     assert_input_error(code, stdout, stderr, "SchemaError", out)
 
 
+def test_learn_empty_injected_results_exit_2(tmp_path, capsys):
+    data = tmp_path / "empty.json"
+    data.write_text("[]")
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", str(data), "--backend", "injected",
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "InputError", out)
+
+
 @pytest.mark.parametrize(
     "entry",
     [

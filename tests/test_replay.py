@@ -2,19 +2,24 @@
 
 A full ``learn_structure`` runs twice on fixed seeds and equal backends,
 once on a ``CIEngine`` and once on a reference engine whose ``p_values``
-is the one-by-one loop over ``p_value``.  The two engine caches must hold
+is the one-by-one loop over ``test``, with the forward step testing one
+candidate at a time (``plain_extensions``) and selection scoring one other
+variable at a time (``plain_q_value``).  The two engine caches must hold
 the same queries with bitwise-equal results and equal hit and miss counts,
 and the two graphs must serialize alike.
 """
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, inject_results
+from causeweave import CIEngine, inject_results, maximize
 from causeweave.citest import make_backend
 from causeweave.dataset import VariableSchema, from_raw
+from causeweave.forward import ForwardSearch
 from causeweave.pcstable import pc_stable
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import PriorKnowledge, learn_structure
@@ -24,8 +29,41 @@ from oracle_helpers import assert_same_dumps, cache_dump, random_ptable
 class OneByOne(CIEngine):
     """An engine that asks each query of a batch through ``test``."""
 
-    def p_values(self, x, y, subsets):
-        return [self.p_value(x, y, s) for s in subsets]
+    def p_values(self, x, queries):
+        return [self.test(x, y, s).p_value for y, s in queries]
+
+
+def plain_extensions(search, s):
+    """``ForwardSearch.extensions`` as a loop that asks each candidate's
+    first test, then its leave-one-out tests, before the next candidate."""
+    members = search._sorted(s)
+    if not s:
+        candidates = list(search.order)
+    else:
+        upper = frozenset.intersection(*(search.memo[s - {v}] for v in members))
+        later = search.order[search.rank[members[-1]] + 1 :]
+        candidates = [t for t in later if t in upper]
+    accepted = []
+    for t in candidates:
+        if len(s) > search.m_ci or (
+            search._dependent(t, members)
+            and all(search._dependent(d, search._sorted((s - {d}) | {t})) for d in members)
+        ):
+            accepted.append(t)
+    search.memo[s] = frozenset(accepted)
+    return search.memo[s]
+
+
+def plain_q_value(computer, n, variables, floor=-math.inf):
+    """``maximize.q_value`` as a loop that scores one other at a time and
+    stops at the first score at or below ``floor``."""
+    q = math.inf
+    for other in sorted(set(variables) - set(n) - {computer.anchor}):
+        value = computer.score(other, n).p_value
+        if value <= floor:
+            return value
+        q = min(q, value)
+    return q
 
 
 def categorical(seed):
@@ -56,47 +94,97 @@ def mixed(seed):
     return from_raw(tuple(schema), raw)
 
 
+def wide(seed):
+    """A sparse 30-variable model, wide enough for z-test stacks of 50 and more."""
+    data, _ = gen_linear_sem(LinearSemSpec(k=30, rho=0.05, theta=0.5, n=2000, seed=[seed, 0]))
+    return data
+
+
+def injected_entries(names, seed, zero_pairs):
+    """A complete table skewed towards small p-values, so that most pairs
+    are dependent.  With ``zero_pairs``, every test of about one pair in
+    five reads exactly 0.0, the value a p-value underflows to, so that
+    selection's first candidate (floor 0.0) can stop early too."""
+    table = random_ptable(names, np.random.default_rng(seed))
+    return [
+        (a, b, s, 0.0 if zero_pairs and (int(a[1:]) + int(b[1:])) % 5 == 0 else p**6)
+        for (a, b, s), p in table.items()
+    ]
+
+
 def engines(kind, seed):
     """The batched engine and its one-by-one reference, on equal backends."""
-    if kind == "injected":
-        # Skewed towards small p-values, so that most pairs are dependent.
+    if kind.startswith("injected"):
         names = [f"V{i}" for i in range(9)]
-        table = random_ptable(names, np.random.default_rng(seed))
-        entries = [(*key, p**6) for key, p in table.items()]
+        entries = injected_entries(names, seed, zero_pairs=kind == "injected-zeros")
         backends = (inject_results(entries), inject_results(entries))
     else:
-        data = {"gtest": categorical, "fisherz": continuous, "auto": mixed}[kind](seed)
+        data = {"gtest": categorical, "fisherz": continuous, "auto": mixed,
+                "fisherz-wide": wide}[kind](seed)
         names = list(data.names)
-        backends = (make_backend(data, kind), make_backend(data, kind))
+        backend = kind.partition("-")[0]
+        backends = (make_backend(data, backend), make_backend(data, backend))
     return names, CIEngine(backends[0]), OneByOne(backends[1])
 
 
 def replay(kind, seed, learner=learn_structure, **kwargs):
     names, batched, reference = engines(kind, seed)
     graph = learner(names, batched, **kwargs)
-    expected = learner(names, reference, **kwargs)
+    with mock.patch.object(maximize, "q_value", plain_q_value), mock.patch.object(
+        ForwardSearch, "extensions", plain_extensions
+    ):
+        expected = learner(names, reference, **kwargs)
     return batched, reference, graph, expected
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("kind", ["gtest", "auto", "fisherz", "injected"])
-def test_batched_queries_replay_bitwise(kind, seed):
-    batched, reference, graph, expected = replay(kind, seed)
+def assert_replayed(batched, reference, graph, expected):
     assert_same_dumps(cache_dump(batched), cache_dump(reference))
-    assert len(batched.cache) > 150
     assert (batched.cache.hits, batched.cache.misses) == (
         reference.cache.hits, reference.cache.misses
     )
     assert graph.to_json() == expected.to_json()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["gtest", "auto", "fisherz", "injected"])
+def test_batched_queries_replay_bitwise(kind, seed):
+    batched, reference, graph, expected = replay(kind, seed)
+    assert_replayed(batched, reference, graph, expected)
+    assert len(batched.cache) > 150
+
+
+def test_wide_fisherz_replay_stacks_fifty_and_more(monkeypatch):
+    stacks = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(
+        np.linalg, "pinv", lambda a: stacks.append(len(a) if a.ndim == 3 else 1) or pinv(a)
+    )
+    batched, reference, graph, expected = replay("fisherz-wide", 0, alpha=0.01, m_ci=2)
+    assert_replayed(batched, reference, graph, expected)
+    assert max(stacks) >= 50
+
+
+def test_injected_replay_stops_where_the_plain_scan_stops():
+    stops = []
+
+    def spy(computer, n, variables, floor=-math.inf):
+        q = q_value(computer, n, variables, floor)
+        stops.append(floor if q <= floor else None)
+        return q
+
+    q_value = maximize.q_value
+    with mock.patch.object(maximize, "q_value", spy):
+        batched, reference, graph, expected = replay("injected-zeros", 3, alpha=0.2)
+    assert_replayed(batched, reference, graph, expected)
+    # Stops at the first candidate's floor of 0.0, and at later floors.
+    assert 0.0 in stops and any(s is not None and s > 0.0 for s in stops)
+
+
 def test_batched_queries_replay_with_prior_and_pc_stable():
     names, _, _ = engines("auto", 2)
     prior = PriorKnowledge(tiers={v: i // 3 for i, v in enumerate(names)})
     for learner in (learn_structure, pc_stable):
-        batched, reference, graph, expected = replay("auto", 2, learner, prior=prior)
-        assert_same_dumps(cache_dump(batched), cache_dump(reference))
-        assert graph.to_json() == expected.to_json()
+        assert_replayed(*replay("auto", 2, learner, prior=prior))
 
 
 def test_replay_helper_catches_one_ulp():
