@@ -5,7 +5,9 @@ Four interchangeable backends produce ``CITestResult`` values for queries
 
 * ``GTestBackend`` — likelihood-ratio test of conditional independence on
   contingency tables (the statistic is twice the sample size times the
-  plug-in conditional mutual information), chi-square reference.
+  plug-in conditional mutual information), chi-square reference; a batch
+  counts its tables from one strata code per conditioning set and scores
+  same-shape tables in stacks of at most ``STACK_CELLS`` cells.
 * ``FisherZBackend`` — partial-correlation z-test for all-continuous
   queries, driven by one precomputed correlation matrix; a batch inverts
   its same-size correlation blocks in one stacked ``pinv``.
@@ -28,6 +30,7 @@ import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from numbers import Real
 from pathlib import Path
 
@@ -53,6 +56,9 @@ BACKEND_INJECTED = "injected"
 # Conditioning-set size cap used as the default throughout the package.
 DEFAULT_MAX_COND = 3
 DEFAULT_ALPHA = 0.05
+# Cells per stacked G-test statistic (a larger table is scored alone), so
+# that a stack's temporaries stay small.
+STACK_CELLS = 512
 
 
 def pair_key(a: str, b: str) -> Pair:
@@ -140,7 +146,15 @@ class CICache:
 
 
 class GTestBackend:
-    """Conditional mutual-information test on discrete (or binned) columns."""
+    """Conditional mutual-information test on discrete (or binned) columns.
+
+    Tables of one shape ``(nx, ny, strata)`` are scored as one stack: each
+    step of the statistic but the last sum is elementwise or an exact
+    integer sum, so it gives a table in a stack what it gives the table
+    alone, and each table's terms are then summed by one ``np.add.reduce``
+    over its own slice, in a lone table's order (``np.add.reduceat`` sums
+    in another).  ``compute`` is a stack of one.
+    """
 
     name = BACKEND_GTEST
 
@@ -148,67 +162,101 @@ class GTestBackend:
         self.data = data
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        return self._result(self._counts(x, y, s))
+        table = self._counts(x, y, self._strata(s))
+        return self._stacked(table.reshape(1, *table.shape[:2], -1))[0]
 
     def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
-        """``[compute(*key) for key in keys]``, bitwise, with fewer row scans.
+        """``[compute(*key) for key in keys]``, bitwise, with fewer row scans
+        and one stacked statistic per shape.
 
-        Keys are grouped by pair, and a pair with a single subset goes
-        through ``compute``.  Otherwise the pair's subsets are visited from
-        largest to smallest; a subset with a superset counted from the rows
-        in this call takes its table as a sum over that table's extra axes
-        (integer counts, so exact), and is counted from the rows only
-        otherwise."""
+        A single key goes through ``compute``.  Otherwise each pair's
+        subsets are visited from largest to smallest; a subset with a
+        superset counted from the rows in this call takes its table as a
+        sum over that table's extra axes (integer counts, so exact).  The
+        tables counted from the rows share one strata code per conditioning
+        set.  Same-shape tables are scored in stacks of at most
+        ``STACK_CELLS`` cells; a stack of one is a view of its table."""
+        if len(keys) == 1:
+            return [self.compute(*keys[0])]
         by_pair: dict[Pair, list[tuple[str, ...]]] = {}
         for x, y, s in keys:
             by_pair.setdefault((x, y), []).append(s)
-        results: dict[QueryKey, CITestResult] = {}
+        from_rows: dict[tuple[str, ...], list[Pair]] = {}
+        sums = []
         for (x, y), subsets in by_pair.items():
-            if len(subsets) == 1:
-                results[(x, y, subsets[0])] = self.compute(x, y, subsets[0])
-                continue
-            tables: dict[tuple[str, ...], np.ndarray] = {}
             counted: list[tuple[tuple[str, ...], frozenset[str]]] = []
             for s in sorted(dict.fromkeys(subsets), key=len, reverse=True):
                 members = frozenset(s)
                 sup = next((t for t, t_set in counted if members <= t_set), None)
                 if sup is None:
-                    tables[s] = self._counts(x, y, s)
+                    from_rows.setdefault(s, []).append((x, y))
                     counted.append((s, members))
-                    continue
-                # Both subsets are sorted, so the kept axes stay in s's order.
-                extra = tuple(2 + i for i, v in enumerate(sup) if v not in members)
-                tables[s] = tables[sup].sum(axis=extra)
-            for s in subsets:
-                results[(x, y, s)] = self._result(tables[s])
+                else:
+                    # Both subsets are sorted, so the kept axes stay in s's order.
+                    extra = tuple(2 + i for i, v in enumerate(sup) if v not in members)
+                    sums.append(((x, y, s), (x, y, sup), extra))
+        tables: dict[QueryKey, np.ndarray] = {}
+        for s, pairs in from_rows.items():
+            strata = self._strata(s)
+            tables.update(((x, y, s), self._counts(x, y, strata)) for x, y in pairs)
+        for key, sup, extra in sums:
+            tables[key] = tables[sup].sum(axis=extra)
+        by_shape: dict[tuple[int, int, int], list[QueryKey]] = {}
+        for key, table in tables.items():
+            nx, ny = table.shape[:2]
+            by_shape.setdefault((nx, ny, table.size // (nx * ny)), []).append(key)
+        results: dict[QueryKey, CITestResult] = {}
+        for shape, group in by_shape.items():
+            step = max(1, STACK_CELLS // math.prod(shape))
+            for i in range(0, len(group), step):
+                chunk = group[i : i + step]
+                views = [tables[key].reshape(1, *shape) for key in chunk]
+                stack = views[0] if len(views) == 1 else np.concatenate(views)
+                results.update(zip(chunk, self._stacked(stack)))
         return [results[key] for key in keys]
 
-    def _counts(self, x: str, y: str, s: tuple[str, ...]) -> np.ndarray:
-        """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``."""
+    def _strata(self, s: tuple[str, ...]) -> tuple[np.ndarray, int, list[int]]:
+        """The joint code of ``s``'s columns, its cell count and their levels."""
         if self.data.n == 0:
             raise DegenerateTable("cannot test on an empty dataset")
-        columns = [self.data.codes(v) for v in (x, y, *s)]
-        flat, n_cells = joint_codes(columns, self.data.n)
-        return np.bincount(flat, minlength=n_cells).reshape([levels for _, levels in columns])
+        columns = [self.data.codes(v) for v in s]
+        code, n_strata = joint_codes(columns, self.data.n)
+        return code, n_strata, [levels for _, levels in columns]
 
-    def _result(self, table: np.ndarray) -> CITestResult:
-        nx, ny = table.shape[:2]
-        counts = table.reshape(nx, ny, -1)
-        per_stratum = counts.sum(axis=(0, 1))
-        row = counts.sum(axis=1)[:, None, :]
-        col = counts.sum(axis=0)[None, :, :]
+    def _counts(self, x: str, y: str, strata: tuple[np.ndarray, int, list[int]]) -> np.ndarray:
+        """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``:
+        ``x`` and then ``y`` folded in front of the strata code of ``s``, the
+        cell index ``joint_codes`` gives ``(x, y, *s)``."""
+        code, n_strata, levels = strata
+        (xs, nx), (ys, ny) = self.data.codes(x), self.data.codes(y)
+        flat = xs * ny
+        flat += ys
+        if n_strata > 1:  # one stratum has the all-zero code
+            flat *= n_strata
+            flat += code
+        return np.bincount(flat, minlength=nx * ny * n_strata).reshape(nx, ny, *levels)
+
+    def _stacked(self, counts: np.ndarray) -> list[CITestResult]:
+        """The tests of a stack of tables shaped ``(tables, nx, ny, strata)``."""
+        _, nx, ny, _ = counts.shape
+        add = np.add.reduce
+        per_stratum = add(counts, axis=(1, 2), keepdims=True)
+        row = add(counts, axis=2, keepdims=True)
+        col = add(counts, axis=1, keepdims=True)
         mask = counts > 0
         ratio = (counts * per_stratum)[mask] / (row * col)[mask]
-        statistic = max(0.0, 2.0 * float(np.sum(counts[mask] * np.log(ratio))))
-        dof = (nx - 1) * (ny - 1) * int(np.count_nonzero(per_stratum))
-        p_value = float(special.chdtrc(dof, statistic)) if dof > 0 else 1.0
-        return CITestResult(
-            p_value=p_value,
-            statistic=statistic,
-            dof=dof,
-            backend=self.name,
-            low_power=self.data.n < 5 * dof,
-        )
+        terms = counts[mask] * np.log(ratio)
+        ends = list(accumulate(add(mask.reshape(len(counts), -1), axis=1).tolist()))
+        statistics = [
+            max(0.0, 2.0 * float(add(terms[start:end]))) for start, end in zip([0, *ends], ends)
+        ]
+        dofs = ((nx - 1) * (ny - 1) * add(per_stratum > 0, axis=3).ravel()).tolist()
+        p_values = special.chdtrc(dofs, statistics).tolist()
+        n = self.data.n
+        return [
+            CITestResult(p if dof > 0 else 1.0, statistic, dof, self.name, low_power=n < 5 * dof)
+            for p, statistic, dof in zip(p_values, statistics, dofs)
+        ]
 
 
 class FisherZBackend:

@@ -124,17 +124,6 @@ class Dataset:
             self._codes[name] = (codes, len(levels))
         return self._codes[name]
 
-    def decode(self) -> dict[str, list]:
-        """Map encoded columns back to raw cell values (labels / floats)."""
-        out: dict[str, list] = {}
-        for var in self.schema:
-            col = self.columns[var.name]
-            if var.is_discrete:
-                out[var.name] = [var.levels[i] for i in col]
-            else:
-                out[var.name] = [float(v) for v in col]
-        return out
-
 
 def read_input(path: str | Path) -> str:
     """The text of an input file: UTF-8, after an optional byte-order mark."""

@@ -13,6 +13,9 @@ from itertools import chain, combinations
 
 import networkx as nx
 import numpy as np
+from scipy import special
+
+from causeweave.citest import BACKEND_GTEST, CITestResult
 
 
 def all_subsets(items, max_size=None):
@@ -178,6 +181,33 @@ def entropy_cmi(counts_xys) -> float:
     return h_xs + h_ys - h_xys - h_s
 
 
+def reference_g_result(table, n) -> CITestResult:
+    """The G-test of one integer table ``(nx, ny, *levels)`` on ``n`` rows,
+    the scalar arithmetic the stacked statistic must reproduce bit for bit:
+    integer margins and products, one division and ``log`` per non-empty
+    cell in C order, one pairwise ``np.sum``."""
+    nx, ny = table.shape[:2]
+    counts = table.reshape(nx, ny, -1)
+    per_stratum = counts.sum(axis=(0, 1))
+    row = counts.sum(axis=1)[:, None, :]
+    col = counts.sum(axis=0)[None, :, :]
+    mask = counts > 0
+    ratio = (counts * per_stratum)[mask] / (row * col)[mask]
+    statistic = max(0.0, 2.0 * float(np.sum(counts[mask] * np.log(ratio))))
+    dof = (nx - 1) * (ny - 1) * int(np.count_nonzero(per_stratum))
+    p_value = float(special.chdtrc(dof, statistic)) if dof > 0 else 1.0
+    return CITestResult(p_value, statistic, dof, BACKEND_GTEST, low_power=n < 5 * dof)
+
+
+def count_table(data, names) -> np.ndarray:
+    """The integer table of ``names``' observed-level codes, one axis per
+    name, counted with ``np.add.at`` rather than a joint cell index."""
+    columns = [data.codes(v) for v in names]
+    table = np.zeros([levels for _, levels in columns], dtype=np.int64)
+    np.add.at(table, tuple(codes for codes, _ in columns), 1)
+    return table
+
+
 def count_rows(data, names) -> dict:
     """Joint cell counts by a literal per-row scan."""
     cols = [data.columns[n] for n in names]
@@ -186,6 +216,15 @@ def count_rows(data, names) -> dict:
         key = tuple(int(c[row]) for c in cols)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def decode(data) -> dict[str, list]:
+    """Every column of ``data`` as raw cell values: level labels or floats."""
+    return {
+        var.name: [var.levels[i] for i in data.columns[var.name]] if var.is_discrete
+        else [float(v) for v in data.columns[var.name]]
+        for var in data.schema
+    }
 
 
 # -- differential replay -------------------------------------------------------

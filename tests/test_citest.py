@@ -6,6 +6,7 @@ from scipy import special, stats
 
 from causeweave import CIEngine, inject_results, make_backend
 from causeweave.citest import (
+    STACK_CELLS,
     FisherZBackend,
     GTestBackend,
     InjectedBackend,
@@ -17,7 +18,7 @@ from causeweave.errors import MixedBackendUnsupported, UninjectedQuery
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import learn_structure
 from conftest import EXAMPLE1_ENTRIES
-from oracle_helpers import entropy_cmi
+from oracle_helpers import count_table, entropy_cmi, reference_g_result
 
 
 def binary_data(cols: dict[str, list[int]]):
@@ -366,10 +367,11 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
     data = edge_case_data(rng, n)
     assert data.codes("t")[1] < 5 and data.codes("k")[1] == 1
     backend = make_backend(data, backend_kind)
-    stacks = []
-    pinv = np.linalg.pinv
+    stacks, tables = [], []
+    pinv, chdtrc = np.linalg.pinv, special.chdtrc
     monkeypatch.setattr(np.linalg, "pinv", lambda a: stacks.append(a.ndim == 3) or pinv(a))
-    low_power = 0
+    monkeypatch.setattr(special, "chdtrc", lambda k, x: tables.append(np.size(x)) or chdtrc(k, x))
+    low_power = zero_dof = 0
     for trial in range(4):
         keys = []
         if backend_kind != "fisherz":
@@ -379,15 +381,52 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
         got = backend.compute_many(keys)
         expected = [backend.compute(*key) for key in keys]
         assert list(map(bits, got)) == list(map(bits, expected)), keys
+        for key, result in zip(keys, got):
+            if result.backend == "gtest":
+                table = count_table(data, (key[0], key[1], *key[2]))
+                assert bits(result) == bits(reference_g_result(table, n)), key
+                zero_dof += result.dof == 0
         low_power += sum(r.low_power for r in got)
     assert (low_power > 0) == (power == "low-power")
+    assert (zero_dof > 0) == (backend_kind != "fisherz")
     assert any(stacks) == (backend_kind != "gtest")
+    # A G-test stack of several tables ran.
+    assert (max(tables, default=0) > 1) == (backend_kind != "fisherz")
     assert backend.compute_many([]) == []
     if backend_kind == "fisherz":
         # A discrete name, in a stack and in a block size of its own.
         for key in (("a", "u", ()), ("u", "w", ("k",))):
             with pytest.raises(MixedBackendUnsupported, match="'[ak]' is not"):
                 backend.compute_many([("t", "u", ()), ("t", "v", ("w",)), key, ("v", "w", ())])
+
+
+def test_gtest_stacks_split_at_the_cap(rng, monkeypatch):
+    """More same-shape tables than one stack holds, in one call with other
+    shapes, empty strata and dof-0 tables: every result is the reference's."""
+    n = 500
+    names = [f"b{i:02d}" for i in range(18)]
+    cols = {name: rng.integers(0, 2, size=n) for name in names}
+    cols["dup"] = cols["b00"].copy()  # given b00 and dup, half the strata are empty
+    cols["one"] = np.zeros(n, dtype=np.int64)  # one level, so dof 0
+    data = discrete_data(cols, 2)
+    keys = [canonical_key(x, y) for i, x in enumerate(names) for y in names[i + 1 :]]
+    keys += [canonical_key(x, y, ("b00", "dup")) for x, y in zip(names[1:6], names[6:11])]
+    keys += [canonical_key("one", y, s) for y, s in (("b01", ()), ("b02", ("b03",)))]
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    backend = GTestBackend(data)
+    sizes = []
+    chdtrc = special.chdtrc
+    monkeypatch.setattr(special, "chdtrc", lambda k, x: sizes.append(np.size(x)) or chdtrc(k, x))
+    got = backend.compute_many(keys)
+    # 153 marginal 2x2 tables: a full stack of STACK_CELLS // 4, then the rest.
+    per_stack = STACK_CELLS // 4
+    assert per_stack in sizes and max(sizes) == per_stack and sum(sizes) == len(keys)
+    for key, result in zip(keys, got):
+        table = count_table(data, (key[0], key[1], *key[2]))
+        assert bits(result) == bits(reference_g_result(table, n)) == bits(backend.compute(*key))
+    empty = [r for k, r in zip(keys, got) if k[2] == ("b00", "dup")]
+    assert all(r.dof == 2 for r in empty)  # two of the four strata hold rows
+    assert [r.dof for k, r in zip(keys, got) if "one" in k] == [0, 0]
 
 
 def test_p_values_matches_one_by_one_tests(rng):

@@ -13,7 +13,7 @@ from causeweave.errors import (
     SchemaError,
     UnknownLevel,
 )
-from oracle_helpers import count_rows
+from oracle_helpers import count_rows, decode
 
 SCHEMA3 = [
     {"name": "a", "kind": "categorical", "levels": ["yes", "no"]},
@@ -35,7 +35,7 @@ def test_load_csv_round_trip(tmp_path):
     data = load_csv(*write_inputs(tmp_path, rows))
     assert data.n == 5
     assert data.names == ("a", "b", "c")
-    decoded = data.decode()
+    decoded = decode(data)
     assert decoded["a"] == ["yes", "no", "yes", "no", "yes"]
     assert decoded["b"] == ["low", "mid", "high", "low", "mid"]
     assert decoded["c"] == [1.5, -2.0, 0.25, 3.5, 0.0]
@@ -59,7 +59,7 @@ def test_load_csv_repeated_header_column(tmp_path):
     with pytest.raises(SchemaError, match="repeats column 'a'"):
         load_csv(*paths)
     paths = write_inputs(tmp_path, ["yes,low,1.0,x,y"], header="a,b,c,extra,extra")
-    assert load_csv(*paths).decode()["a"] == ["yes"]
+    assert decode(load_csv(*paths))["a"] == ["yes"]
 
 
 def test_load_csv_ragged_row(tmp_path):
@@ -201,7 +201,7 @@ def raw_discrete_columns(draw):
 def test_encode_decode_round_trip(col):
     labels, cells = col
     data = from_raw((VariableSchema("a", "categorical", labels),), {"a": cells})
-    assert data.decode()["a"] == cells
+    assert decode(data)["a"] == cells
 
 
 def survey_rows(n):
@@ -249,14 +249,14 @@ def test_load_csv_quoted_cell_with_comma(tmp_path):
     schema = [{"name": "a", "kind": "categorical", "levels": ["x,y", "z"]}, SCHEMA3[2]]
     paths = write_inputs(tmp_path, ['"x,y",1.5', 'z,"2.5"', '"x,y",-1'], schema, header="a,c")
     data = load_csv(*paths)
-    assert data.decode() == {"a": ["x,y", "z", "x,y"], "c": [1.5, 2.5, -1.0]}
+    assert decode(data) == {"a": ["x,y", "z", "x,y"], "c": [1.5, 2.5, -1.0]}
 
 
 def test_load_csv_ignores_extra_column(tmp_path):
     # The extra column holds cells no schema variable would accept.
     rows = ["yes,not a number,low,1.5", "no,,mid,2.0"]
     data = load_csv(*write_inputs(tmp_path, rows, header="a,extra,b,c"))
-    assert data.decode() == {"a": ["yes", "no"], "b": ["low", "mid"], "c": [1.5, 2.0]}
+    assert decode(data) == {"a": ["yes", "no"], "b": ["low", "mid"], "c": [1.5, 2.0]}
 
 
 @pytest.mark.parametrize("names", [["c"], ["b"], ["c", "a"], []])
@@ -266,7 +266,7 @@ def test_load_csv_reads_one_or_reordered_schema_columns_of_a_wide_file(tmp_path,
     data = load_csv(*write_inputs(tmp_path, rows, schema, header="e1,a,b,e2,c,e3"))
     full = {"a": ["yes", "no", "yes"], "b": ["low", "mid", "high"], "c": [1.5, 2.0, -1.0]}
     assert data.names == tuple(names)
-    assert data.decode() == {name: full[name] for name in names}
+    assert decode(data) == {name: full[name] for name in names}
     assert data.n == (3 if names else 0)
 
 

@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
-A deletion that leaves its imports behind fails here.  ``__init__.py``
-re-exports names for callers, so it is exempt.
+A deletion or a moved helper that leaves its imports behind fails here.
+The package's ``__init__.py`` re-exports names for callers, so it is exempt.
 """
 
 import ast
@@ -10,6 +10,7 @@ from pathlib import Path
 import causeweave
 
 PACKAGE = Path(causeweave.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,15 +28,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
-def test_no_unused_imports_in_package():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+def stale_imports(modules) -> dict[str, list[str]]:
+    modules = list(modules)
     assert modules
-    stale = {
+    return {
         p.name: found
         for p in modules
         if (found := unused_imports(p.read_text(encoding="utf-8")))
     }
-    assert stale == {}
+
+
+def test_no_unused_imports_in_package():
+    assert stale_imports(sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert stale_imports(sorted(TESTS.glob("*.py"))) == {}
 
 
 def test_unused_import_is_reported():

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from causeweave import CIEngine, inject_results, maximize
-from causeweave.citest import make_backend
-from causeweave.dataset import VariableSchema, from_raw
+from causeweave.citest import STACK_CELLS, GTestBackend, make_backend
+from causeweave.dataset import Dataset, VariableSchema, from_raw
 from causeweave.forward import ForwardSearch
 from causeweave.pcstable import pc_stable
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
@@ -68,6 +68,23 @@ def plain_q_value(computer, n, variables, floor=-math.inf):
 
 def categorical(seed):
     return make_discrete_net(12, 3, 3, seed=[seed, 0]).sample(400, seed=[seed, 1])
+
+
+def categorical_levels(seed):
+    """A 4-level net with its columns merged down to 2, 3 or 4 levels, so
+    that one batch holds tables of several shapes."""
+    data = make_discrete_net(12, 3, 4, seed=[seed, 0]).sample(600, seed=[seed, 1])
+    schema, columns = [], {}
+    for j, var in enumerate(data.schema):
+        k = 2 + j % 3
+        schema.append(VariableSchema(var.name, "categorical", var.levels[:k]))
+        columns[var.name] = np.minimum(data.columns[var.name], k - 1)
+    return Dataset(schema=tuple(schema), columns=columns, n=data.n)
+
+
+def categorical_small(seed):
+    """30 rows of a 4-level net: tests given two others have 144 dof."""
+    return make_discrete_net(8, 3, 4, seed=[seed, 0]).sample(30, seed=[seed, 1])
 
 
 def continuous(seed):
@@ -120,7 +137,8 @@ def engines(kind, seed):
         backends = (inject_results(entries), inject_results(entries))
     else:
         data = {"gtest": categorical, "fisherz": continuous, "auto": mixed,
-                "fisherz-wide": wide}[kind](seed)
+                "fisherz-wide": wide, "gtest-levels": categorical_levels,
+                "gtest-small": categorical_small}[kind](seed)
         names = list(data.names)
         backend = kind.partition("-")[0]
         backends = (make_backend(data, backend), make_backend(data, backend))
@@ -162,6 +180,46 @@ def test_wide_fisherz_replay_stacks_fifty_and_more(monkeypatch):
     batched, reference, graph, expected = replay("fisherz-wide", 0, alpha=0.01, m_ci=2)
     assert_replayed(batched, reference, graph, expected)
     assert max(stacks) >= 50
+
+
+def test_gtest_replay_mixes_shapes_and_splits_stacks(monkeypatch):
+    calls, inside = [], []
+    compute_many, stacked = GTestBackend.compute_many, GTestBackend._stacked
+
+    def spy_many(self, keys):
+        calls.append([])
+        inside.append(True)
+        try:
+            return compute_many(self, keys)
+        finally:
+            inside.pop()
+
+    def spy_stacked(self, counts):
+        if inside:
+            calls[-1].append(counts.shape)
+        return stacked(self, counts)
+
+    monkeypatch.setattr(GTestBackend, "compute_many", spy_many)
+    monkeypatch.setattr(GTestBackend, "_stacked", spy_stacked)
+    batched, reference, graph, expected = replay("gtest-levels", 4)
+    assert_replayed(batched, reference, graph, expected)
+    shapes = [[shape[1:] for shape in call] for call in calls]
+    # One call scored tables of several shapes ...
+    assert any(len(set(call)) > 1 for call in shapes)
+    # ... and one split a shape into several stacks at the cap.
+    assert any(len(set(call)) < len(call) for call in shapes)
+    # A stack of several tables holds at most STACK_CELLS cells.
+    assert max(
+        math.prod(shape) for call in calls for shape in call if shape[0] > 1
+    ) <= STACK_CELLS
+
+
+def test_gtest_replay_with_fewer_rows_than_dof():
+    batched, reference, graph, expected = replay("gtest-small", 1)
+    assert_replayed(batched, reference, graph, expected)
+    results = list(batched.cache._store.values())
+    assert any(r.dof > 30 for r in results)
+    assert all(r.low_power == (30 < 5 * r.dof) for r in results)
 
 
 def test_injected_replay_stops_where_the_plain_scan_stops():
