@@ -16,7 +16,6 @@ from .citest import (
     OracleBackend,
     OracleGraph,
     d_sep,
-    inject_results,
     make_backend,
 )
 from .dataset import (

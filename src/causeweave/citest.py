@@ -10,7 +10,8 @@ Four interchangeable backends produce ``CITestResult`` values for queries
   same-shape tables in stacks of at most ``STACK_CELLS`` cells.
 * ``FisherZBackend`` — partial-correlation z-test for all-continuous
   queries, driven by one precomputed correlation matrix; a batch inverts
-  its same-size correlation blocks in one stacked ``pinv``.
+  its same-size correlation blocks in one stacked ``pinv``, and a lone
+  query is a stack of one.
 * ``OracleBackend`` — exact graph separation on a known DAG, returning
   p-values of 1.0/0.0; used to validate search behavior without noise.
 * ``InjectedBackend`` — fixed p-values from a lookup table.
@@ -260,7 +261,10 @@ class GTestBackend:
 
 
 class FisherZBackend:
-    """Partial-correlation z-test; valid for all-continuous queries only."""
+    """Partial-correlation z-test; valid for all-continuous queries only.
+    Queries of one conditioning-set size share one stacked ``pinv``, which
+    runs the same SVD and cutoff on each block as alone; ``compute`` is a
+    stack of one."""
 
     name = BACKEND_FISHERZ
 
@@ -278,38 +282,41 @@ class FisherZBackend:
         self.corr = corr
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        if self.n == 0:
-            raise DegenerateTable("cannot test on an empty dataset")
-        idx = self._block(x, y, s)
-        scale = self.n - len(s) - 3
-        if scale <= 0:
-            return CITestResult(1.0, 0.0, 0, self.name, low_power=True)
-        prec = np.linalg.pinv(self.corr[np.ix_(idx, idx)])
-        return self._result(prec[0, 0], prec[1, 1], prec[0, 1], scale)
+        return self._stacked(len(s), [(x, y, s)])[0]
 
     def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
         """``[compute(*key) for key in keys]``, bitwise, with one stacked
-        ``pinv`` per block size.
+        ``pinv`` per block size.  A single key goes through ``compute``."""
+        if len(keys) == 1:
+            return [self.compute(*keys[0])]
+        by_size: dict[int, list[QueryKey]] = {}
+        for key in keys:
+            by_size.setdefault(len(key[2]), []).append(key)
+        results: dict[QueryKey, CITestResult] = {}
+        for size, group in by_size.items():
+            results.update(zip(group, self._stacked(size, group)))
+        return [results[key] for key in keys]
 
-        ``pinv`` of a stack runs the same SVD and per-matrix cutoff on each
-        block as it does alone.  A size with a single key, or whose tests
-        are all low-power, goes through ``compute``."""
-        by_size: dict[int, list[int]] = {}
-        for i, (_, _, s) in enumerate(keys):
-            by_size.setdefault(len(s), []).append(i)
-        results: list[CITestResult | None] = [None] * len(keys)
-        for size, rows in by_size.items():
-            scale = self.n - size - 3
-            if len(rows) == 1 or scale <= 0:
-                for i in rows:
-                    results[i] = self.compute(*keys[i])
-                continue
-            idx = np.array([self._block(*keys[i]) for i in rows])
-            precs = np.linalg.pinv(self.corr[idx[:, :, None], idx[:, None, :]])
-            # The three entries as Python floats: the same IEEE arithmetic
-            # as on NumPy scalars, without their per-element overhead.
-            for i, entries in zip(rows, precs[:, [0, 1, 0], [0, 1, 1]].tolist()):
-                results[i] = self._result(*entries, scale)
+    def _stacked(self, size: int, keys: list[QueryKey]) -> list[CITestResult]:
+        """The tests of ``keys``, whose conditioning sets have ``size``
+        members each; low-power (p-value 1) when ``n - size - 3 <= 0``."""
+        if self.n == 0:
+            raise DegenerateTable("cannot test on an empty dataset")
+        idx = np.array([self._block(*key) for key in keys])
+        scale = self.n - size - 3
+        if scale <= 0:
+            return [CITestResult(1.0, 0.0, 0, self.name, low_power=True) for _ in keys]
+        precs = np.linalg.pinv(self.corr[idx[:, :, None], idx[:, None, :]])
+        results = []
+        # The precision entries of x and y as Python floats: the same IEEE
+        # arithmetic as on NumPy scalars, without their per-element overhead.
+        for xx, yy, xy in precs[:, [0, 1, 0], [0, 1, 1]].tolist():
+            denom = xx * yy
+            r = -xy / math.sqrt(denom) if denom > 0 else 0.0
+            r = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
+            statistic = math.sqrt(scale) * math.atanh(r)
+            p_value = float(2.0 * special.ndtr(-abs(statistic)))
+            results.append(CITestResult(p_value, statistic, 0, self.name))
         return results
 
     def _block(self, x: str, y: str, s: tuple[str, ...]) -> list[int]:
@@ -320,15 +327,6 @@ class FisherZBackend:
             raise MixedBackendUnsupported(
                 f"fisher-z requires continuous variables; {exc.args[0]!r} is not"
             ) from None
-
-    def _result(self, xx: float, yy: float, xy: float, scale: int) -> CITestResult:
-        """The z-test from the precision entries of ``x`` and ``y``."""
-        denom = xx * yy
-        r = -xy / math.sqrt(denom) if denom > 0 else 0.0
-        r = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
-        statistic = math.sqrt(scale) * math.atanh(r)
-        p_value = float(2.0 * special.ndtr(-abs(statistic)))
-        return CITestResult(p_value, statistic, 0, self.name)
 
 
 class AutoBackend:
@@ -555,11 +553,6 @@ class InjectedBackend:
         except KeyError:
             raise UninjectedQuery(f"no injected p-value for {key!r}") from None
         return CITestResult(p_value=p, statistic=0.0, dof=0, backend=self.name)
-
-
-def inject_results(table) -> InjectedBackend:
-    """Backend returning exactly the given ``(x, y, s, p_value)`` entries."""
-    return InjectedBackend.from_entries(table)
 
 
 class CIEngine:

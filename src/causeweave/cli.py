@@ -144,6 +144,10 @@ def _emit(obj: dict) -> None:
 def cmd_learn(args: argparse.Namespace) -> int:
     prior = PriorKnowledge.from_json(args.prior) if args.prior else None
     if args.backend == "injected":
+        options = {"--cap-levels": args.cap_levels, "--drop-dominant": args.drop_dominant}
+        for option, value in options.items():
+            if value is not None:
+                raise ValueError(f"{option} applies to CSV data, not to --backend injected")
         backend = InjectedBackend.from_json(args.data)
         if args.schema:
             variables = [v.name for v in load_schema(args.schema)]
@@ -202,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     echo = {
         "bic" if key == "compute_bic" else key: value
         for key, value in dataclasses.asdict(sim_cfg).items()
-        if key not in ("threads", "algorithms")
+        if key != "threads"
     }
     doc = {
         "config": {"kind": args.kind, **echo},

@@ -115,8 +115,9 @@ class Dataset:
         kept, read-only like ``columns``, for every later caller.
         """
         if name not in self._codes:
+            var = self.variable(name)
             col = self.columns[name]
-            if not self.variable(name).is_discrete:
+            if not var.is_discrete:
                 qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
                 col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
             levels, codes = np.unique(col, return_inverse=True)
@@ -141,13 +142,13 @@ def read_json(path: str | Path, kind: type, error: type[Exception], message: str
 
 def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
     """Read a schema file (see ``read_json``): a JSON array of ``{"name",
-    "kind", "levels"?}`` with string ``name`` and ``kind`` and ``levels`` a
-    JSON array of strings.  Any other key raises ``SchemaError``.
+    "kind", "levels"?}`` with distinct string names, string kinds and JSON
+    arrays of strings as levels.  Anything else raises ``SchemaError``.
 
     Tiers are prior knowledge and belong in the prior file, not here.
     """
     raw = read_json(path, list, SchemaError, "schema file must contain a JSON array")
-    out = []
+    out: dict[str, VariableSchema] = {}
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SchemaError(f"schema entry missing name/kind: {entry!r}")
@@ -161,8 +162,10 @@ def load_schema(path: str | Path) -> tuple[VariableSchema, ...]:
             raise SchemaError(f"{name}: unknown schema keys {sorted(unknown)!r}")
         if not isinstance(levels, list) or not all(isinstance(v, str) for v in levels):
             raise SchemaError(f"{name}: levels must be a JSON array of strings")
-        out.append(VariableSchema(name=name, kind=kind, levels=tuple(levels)))
-    return tuple(out)
+        if name in out:
+            raise SchemaError(f"schema declares {name!r} more than once")
+        out[name] = VariableSchema(name=name, kind=kind, levels=tuple(levels))
+    return tuple(out.values())
 
 
 def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -> Dataset:

@@ -47,7 +47,6 @@ class ContinuousSimConfig:
     m_ci: int = 2
     seed: int = 0
     threads: int = 1
-    algorithms: tuple[str, ...] = ALGORITHMS
 
 
 @dataclass(frozen=True)
@@ -63,20 +62,15 @@ class CategoricalSimConfig:
     m_ci: int = 3
     seed: int = 0
     threads: int = 1
-    algorithms: tuple[str, ...] = ALGORITHMS
     compute_bic: bool = True
 
 
-def _learn_all(data, engine, algorithms, alpha, m_ci):
-    graphs = {}
-    for alg in algorithms:
-        if alg == PROPOSED:
-            graphs[alg] = learn_structure(data.names, engine, alpha=alpha, m_ci=m_ci)
-        elif alg == PC_STABLE:
-            graphs[alg] = pc_stable(data.names, engine, alpha=alpha, m_ci=m_ci)
-        else:
-            raise ValueError(f"unknown algorithm {alg!r}")
-    return graphs
+def _learn_all(data, engine, alpha, m_ci):
+    """Both learners' graphs, the proposed one first, over one shared cache."""
+    return {
+        PROPOSED: learn_structure(data.names, engine, alpha=alpha, m_ci=m_ci),
+        PC_STABLE: pc_stable(data.names, engine, alpha=alpha, m_ci=m_ci),
+    }
 
 
 # The replicate closure of the open pool.  Forked workers inherit it, so
@@ -122,13 +116,13 @@ def run_continuous_experiment(cfg: ContinuousSimConfig) -> dict[str, SimReport]:
         )
         data, truth = gen_linear_sem(spec)
         engine = CIEngine(FisherZBackend(data))
-        return truth, _learn_all(data, engine, cfg.algorithms, cfg.alpha, cfg.m_ci)
+        return truth, _learn_all(data, engine, cfg.alpha, cfg.m_ci)
 
     outcomes = _map_reps(worker, cfg.reps, cfg.threads)
     truths = [truth for truth, _ in outcomes]
     return {
         alg: evaluate_recovery(truths, [graphs[alg] for _, graphs in outcomes])
-        for alg in cfg.algorithms
+        for alg in ALGORITHMS
     }
 
 
@@ -139,21 +133,14 @@ def run_categorical_experiment(cfg: CategoricalSimConfig) -> dict[str, SimReport
     def worker(rep: int):
         data = net.sample(cfg.n, seed=[cfg.seed, 1 + rep])
         engine = CIEngine(GTestBackend(data))
-        graphs = _learn_all(data, engine, cfg.algorithms, cfg.alpha, cfg.m_ci)
-        bics = (
-            {alg: bic_of_graph(data, g).bic for alg, g in graphs.items()}
-            if cfg.compute_bic
-            else None
-        )
-        return graphs, bics
+        graphs = _learn_all(data, engine, cfg.alpha, cfg.m_ci)
+        if not cfg.compute_bic:
+            return graphs, None
+        return graphs, {alg: bic_of_graph(data, g).bic for alg, g in graphs.items()}
 
     outcomes = _map_reps(worker, cfg.reps, cfg.threads)
     reports = {}
-    for alg in cfg.algorithms:
-        bic = (
-            tuple(bics[alg] for _, bics in outcomes) if cfg.compute_bic else None
-        )
-        reports[alg] = evaluate_recovery(
-            net.graph, [graphs[alg] for graphs, _ in outcomes], bic=bic
-        )
+    for alg in ALGORITHMS:
+        bic = tuple(bics[alg] for _, bics in outcomes) if cfg.compute_bic else None
+        reports[alg] = evaluate_recovery(net.graph, [g[alg] for g, _ in outcomes], bic=bic)
     return reports

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
 from .errors import BudgetExceeded
 
-DEFAULT_BUDGET = 10**6
+# Candidate sets one search may expand before it raises ``BudgetExceeded``.
+BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class ForwardSearch:
         engine: CIEngine,
         alpha: float = DEFAULT_ALPHA,
         m_ci: int = DEFAULT_MAX_COND,
-        budget: int = DEFAULT_BUDGET,
     ):
         variables = list(variables)
         if target not in variables:
@@ -66,7 +66,6 @@ class ForwardSearch:
         self.engine = engine
         self.alpha = alpha
         self.m_ci = m_ci
-        self.budget = budget
         self.order = tuple(v for v in variables if v != target)
         self.rank = {v: i for i, v in enumerate(self.order)}
         self.memo: dict[frozenset[str], frozenset[str]] = {}
@@ -121,9 +120,9 @@ class ForwardSearch:
                 assert s not in seen, "a candidate set was scheduled twice"
                 seen.add(s)
                 self.expanded += 1
-                if self.expanded > self.budget:
+                if self.expanded > BUDGET:
                     raise BudgetExceeded(
-                        f"{self.target}: more than {self.budget} candidate sets expanded"
+                        f"{self.target}: more than {BUDGET} candidate sets expanded"
                     )
                 ext = self.extensions(s)
                 if ext:

@@ -15,7 +15,9 @@ or below the floor can stop the scan: the non-members are scored in batches
 that each end at such a variable, and nothing after a stop is ever asked.
 The winner's scores against every other variable are
 kept with the selection; the skeleton reads its p-values and separating
-sets from them without testing again.
+sets from them without testing again.  ``best_record`` is the one rule that
+picks a separating set, here, for the sepsets and in PC-stable: the largest
+p-value, then the smallest witness.
 """
 
 from __future__ import annotations
@@ -40,15 +42,10 @@ class SeparationRecord(NamedTuple):
     witness: Witness
 
 
-def _better(
-    current: tuple[float, Witness], candidate: tuple[float, Witness]
-) -> tuple[float, Witness]:
-    """The larger p-value; on a tie, the smaller witness."""
-    if candidate[0] > current[0]:
-        return candidate
-    if candidate[0] == current[0] and candidate[1] < current[1]:
-        return candidate
-    return current
+def best_record(records) -> SeparationRecord:
+    """The best of ``(p_value, witness)`` pairs, as a record: the largest
+    p-value; on a tie, the smallest witness."""
+    return SeparationRecord(*min(records, key=lambda r: (-r[0], r[1])))
 
 
 @dataclass(frozen=True)
@@ -72,11 +69,11 @@ class SepComputer:
 
     ``score(other, n)`` is the maximum, over the subsets of ``n`` with at
     most ``m_ci`` members, of the p-value of ``anchor`` against ``other``
-    given the subset, as a :class:`SeparationRecord` with the witness subset
-    attaining it; ties prefer the lexicographically smallest witness.  The
-    p-value of each (other, subset) is asked of the engine at most once per
-    computer: ``scores(others, n)`` asks for all of its (other, subset)
-    pairs missing from the memo in a single ``CIEngine.p_values`` batch.
+    given the subset, as the :func:`best_record` of its (p-value, subset)
+    pairs.  The p-value of each (other, subset) is asked of the engine at
+    most once per computer: ``scores(others, n)`` asks for all of its
+    (other, subset) pairs missing from the memo in a single
+    ``CIEngine.p_values`` batch.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
@@ -103,14 +100,10 @@ class SepComputer:
             queries += [(other, sub) for sub in subsets if sub not in memo]
         for (other, sub), p in zip(queries, self.engine.p_values(self.anchor, queries)):
             self._p[other][sub] = p
-        records = []
-        for other in others:
-            memo = self._p[other]
-            best = (-1.0, ())
-            for sub in subsets:
-                best = _better(best, (memo[sub], sub))
-            records.append(SeparationRecord(*best))
-        return records
+        return [
+            best_record(zip(map(self._p[other].__getitem__, subsets), subsets))
+            for other in others
+        ]
 
 
 def q_value(

@@ -5,9 +5,10 @@ adjacency sets frozen at the start of each level, and deletions are applied
 only once the level completes, so the result does not depend on variable
 order.  Each edge asks the union of both endpoints' size-L subsets as one
 sorted set, so no query is asked twice.  For every deleted edge the
-separating set with the largest p-value found at the deleting level is
-recorded (ties prefer the smaller set, the rule selection uses), which also
-keeps the stored sepsets order-free.
+separating set found at the deleting level is recorded as the
+``maximize.best_record`` of all its tests there (the largest p-value, then
+the smallest set: the rule selection uses), which also keeps the stored
+sepsets order-free.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
-from .maximize import _better
+from .maximize import best_record
 from .skeleton_orient import (
     Cpdag,
     Pair,
     PriorKnowledge,
     SeparationRecord,
+    checked_variables,
     orient,
 )
 
@@ -38,9 +40,10 @@ def pc_stable_skeleton(
     removed at the end of the level if any such test fails to reject
     independence.  Levels stop once no adjacency is large enough or the
     conditioning cap is passed.  The graph's ``sepsets`` hold the record of
-    every removed edge, for :func:`orient` to read.
+    every removed edge, for :func:`orient` to read.  A repeated variable
+    raises before the first CI test.
     """
-    variables = list(variables)
+    variables = checked_variables(variables, None)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     adjacency: dict[str, set[str]] = {
@@ -59,12 +62,11 @@ def pc_stable_skeleton(
             break
         removals: dict[Pair, SeparationRecord] = {}
         for x, y in edges:
-            best = SeparationRecord(-1.0, ())
             pools = (frozen[x] - {y}, frozen[y] - {x})
-            for cond in sorted({c for pool in pools for c in combinations(sorted(pool), level)}):
-                p = engine.p_value(x, y, cond)
-                if p > alpha:
-                    best = _better(best, SeparationRecord(p, cond))
+            conds = sorted({c for pool in pools for c in combinations(sorted(pool), level)})
+            if not conds:
+                continue
+            best = best_record([(engine.p_value(x, y, c), c) for c in conds])
             if best.p_value > alpha:
                 removals[(x, y)] = best
         for (x, y), record in removals.items():
@@ -89,10 +91,7 @@ def pc_stable(
 ) -> Cpdag:
     """Baseline pipeline: level-wise skeleton plus the shared orientation.
 
-    A bad ``prior`` raises before the first CI test.
+    A repeated variable or a bad ``prior`` raises before the first CI test.
     """
-    variables = list(variables)
-    if prior is not None:
-        prior.check_consistent()  # again: refuse one altered since construction
-        prior.check(variables)
+    variables = checked_variables(variables, prior)
     return orient(pc_stable_skeleton(variables, engine, alpha=alpha, m_ci=m_ci), prior)

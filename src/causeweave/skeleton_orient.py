@@ -30,7 +30,7 @@ from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, Pair, pair_key, t
 from .dataset import read_json
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import forward_step
-from .maximize import NeighborSelection, SeparationRecord, _better, maximization_step
+from .maximize import NeighborSelection, SeparationRecord, best_record, maximization_step
 
 logger = logging.getLogger(__name__)
 
@@ -379,15 +379,16 @@ def compute_sepsets(
     skeleton: Cpdag, selections: dict[str, NeighborSelection]
 ) -> dict[Pair, SeparationRecord]:
     """The graph's ``sepsets``, one record per non-adjacent pair x-y: the
-    better of ``selections[x].separation[y]`` and ``selections[y].separation[x]``,
-    each searched in that endpoint's chosen neighborhood; the larger p-value
-    wins, ties prefer the smaller witness."""
+    :func:`best_record` of ``selections[x].separation[y]`` and
+    ``selections[y].separation[x]``, each searched in that endpoint's chosen
+    neighborhood."""
     out: dict[Pair, SeparationRecord] = {}
     verts = skeleton.vertices
     for i, x in enumerate(verts):
         for y in verts[i + 1 :]:
             if not skeleton.has_edge(x, y):
-                out[pair_key(x, y)] = _better(selections[x].separation[y], selections[y].separation[x])
+                pair = (selections[x].separation[y], selections[y].separation[x])
+                out[pair_key(x, y)] = best_record(pair)
     return out
 
 
@@ -481,6 +482,19 @@ def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
 # -- end-to-end learner ------------------------------------------------------
 
 
+def checked_variables(variables, prior: PriorKnowledge | None) -> list[str]:
+    """``variables`` as a list; raises ``ValueError`` for a name given twice,
+    and as ``PriorKnowledge.check_consistent`` and ``check`` do for ``prior``."""
+    variables = list(variables)
+    if len(set(variables)) != len(variables):
+        repeated = sorted({v for v in variables if variables.count(v) > 1})
+        raise ValueError(f"variables named more than once: {repeated!r}")
+    if prior is not None:
+        prior.check_consistent()  # again: refuse one altered since construction
+        prior.check(variables)
+    return variables
+
+
 def learn_structure(
     variables,
     engine: CIEngine,
@@ -492,13 +506,10 @@ def learn_structure(
 
     ``variables`` fixes both the vertex set and the enumeration order used
     by the per-target searches.  The returned graph carries per-edge
-    connection p-values and per-non-adjacent-pair separating sets.  A bad
-    ``prior`` raises before the first CI test.
+    connection p-values and per-non-adjacent-pair separating sets.  A repeated
+    variable or a bad ``prior`` raises before the first CI test.
     """
-    variables = list(variables)
-    if prior is not None:
-        prior.check_consistent()  # again: refuse one altered since construction
-        prior.check(variables)
+    variables = checked_variables(variables, prior)
     selections: dict[str, NeighborSelection] = {}
     for x in variables:
         family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci)

@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, inject_results
+from causeweave import CIEngine, InjectedBackend
 
 # p-value pattern of the three-variable motivating case: both Y and Z are
 # marginally associated with X, yet each renders X independent of the other.
@@ -19,7 +19,7 @@ EXAMPLE1_ENTRIES = [
 
 @pytest.fixture
 def example1_engine():
-    return CIEngine(inject_results(EXAMPLE1_ENTRIES))
+    return CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
 
 
 @pytest.fixture

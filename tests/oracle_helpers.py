@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 from scipy import special
 
-from causeweave.citest import BACKEND_GTEST, CITestResult
+from causeweave.citest import BACKEND_FISHERZ, BACKEND_GTEST, CITestResult
 
 
 def all_subsets(items, max_size=None):
@@ -197,6 +197,24 @@ def reference_g_result(table, n) -> CITestResult:
     dof = (nx - 1) * (ny - 1) * int(np.count_nonzero(per_stratum))
     p_value = float(special.chdtrc(dof, statistic)) if dof > 0 else 1.0
     return CITestResult(p_value, statistic, dof, BACKEND_GTEST, low_power=n < 5 * dof)
+
+
+def reference_z_result(corr, n, block) -> CITestResult:
+    """The z-test of the query whose rows of the correlation matrix ``corr``
+    are ``block`` (``x``, ``y``, then ``s``) on ``n`` rows, the arithmetic
+    the stacked test must reproduce bit for bit: ``pinv`` of the 2-D block
+    picked with ``np.ix_``, then the z arithmetic on its NumPy scalars."""
+    scale = n - (len(block) - 2) - 3
+    if scale <= 0:
+        return CITestResult(1.0, 0.0, 0, BACKEND_FISHERZ, low_power=True)
+    prec = np.linalg.pinv(corr[np.ix_(block, block)])
+    xx, yy, xy = prec[0, 0], prec[1, 1], prec[0, 1]
+    denom = xx * yy
+    r = -xy / math.sqrt(denom) if denom > 0 else 0.0
+    r = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
+    statistic = math.sqrt(scale) * math.atanh(r)
+    p_value = float(2.0 * special.ndtr(-abs(statistic)))
+    return CITestResult(p_value, statistic, 0, BACKEND_FISHERZ)
 
 
 def count_table(data, names) -> np.ndarray:

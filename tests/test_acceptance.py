@@ -24,10 +24,10 @@ import numpy as np
 
 from causeweave import (
     CIEngine,
+    InjectedBackend,
     OracleBackend,
     bic_of_graph,
     forward_step,
-    inject_results,
     learn_structure,
     maximization_step,
     pc_stable,
@@ -97,7 +97,7 @@ def test_criterion_2_definitional_equivalence():
         alpha = float(rng.uniform(0.2, 0.8))
         target = names[int(rng.integers(0, k))]
         order = [v for v in names if v != target]
-        engine = CIEngine(inject_results(ptable_entries(table)))
+        engine = CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
         search = ForwardSearch(target, names, engine, alpha=alpha, m_ci=k)
         family = search.run()
         for s, computed in search.memo.items():
@@ -117,14 +117,16 @@ def test_criterion_2_definitional_equivalence():
 
 
 def test_criterion_3_motivating_example_contract():
-    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
+    def engine():
+        return CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
+
     variables = ["X", "Y", "Z"]
-    proposed = learn_structure(variables, engine, alpha=0.05, m_ci=3)
+    proposed = learn_structure(variables, engine(), alpha=0.05, m_ci=3)
     prop_x_edges = {p for p in proposed.skeleton_pairs() if "X" in p}
-    baseline = pc_stable(variables, CIEngine(inject_results(EXAMPLE1_ENTRIES)), alpha=0.05, m_ci=3)
+    baseline = pc_stable(variables, engine(), alpha=0.05, m_ci=3)
     pc_x_edges = {p for p in baseline.skeleton_pairs() if "X" in p}
-    fam = forward_step("X", variables, CIEngine(inject_results(EXAMPLE1_ENTRIES)), alpha=0.05)
-    sel = maximization_step("X", fam, variables, CIEngine(inject_results(EXAMPLE1_ENTRIES)))
+    fam = forward_step("X", variables, engine(), alpha=0.05)
+    sel = maximization_step("X", fam, variables, engine())
     ok = (
         len(prop_x_edges) == 1
         and sel.neighbors in ({"Y"}, {"Z"})
@@ -141,7 +143,7 @@ def test_criterion_4_no_repeated_queries():
         k = int(rng.integers(4, 7))
         names = [f"T{i}" for i in range(k)]
         table = random_ptable(names, rng)
-        engine = CIEngine(inject_results(ptable_entries(table)))
+        engine = CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
         alpha = float(rng.uniform(0.2, 0.8))
         for target in names:
             with engine.trace() as fwd_log:
@@ -204,7 +206,7 @@ def test_criterion_7_conditioning_cap_robustness():
     for m_ci in (2, 4):
         cfg = CategoricalSimConfig(
             k=20, n=500, levels=2, max_parents=3, reps=100, alpha=0.05,
-            m_ci=m_ci, seed=77, algorithms=(PROPOSED,), compute_bic=False,
+            m_ci=m_ci, seed=77, compute_bic=False,
         )
         reports[m_ci] = run_categorical_experiment(cfg)[PROPOSED]
     d_tpr = abs(reports[2].tpr - reports[4].tpr)

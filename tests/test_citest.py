@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from causeweave import CIEngine, inject_results, make_backend
+from causeweave import CIEngine, make_backend
 from causeweave.citest import (
     STACK_CELLS,
     FisherZBackend,
@@ -18,7 +18,7 @@ from causeweave.errors import MixedBackendUnsupported, UninjectedQuery
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import learn_structure
 from conftest import EXAMPLE1_ENTRIES
-from oracle_helpers import count_table, entropy_cmi, reference_g_result
+from oracle_helpers import count_table, entropy_cmi, reference_g_result, reference_z_result
 
 
 def binary_data(cols: dict[str, list[int]]):
@@ -155,7 +155,7 @@ def test_auto_backend_bins_mixed_queries(rng):
 
 
 def test_cache_counters_and_symmetry():
-    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
+    engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
     first = engine.test("X", "Y", ("Z",))
     again = engine.test("Y", "X", ("Z",))
     assert first == again
@@ -174,7 +174,7 @@ def test_canonical_key_validation():
 
 
 def test_injected_backend_contract():
-    backend = inject_results(EXAMPLE1_ENTRIES)
+    backend = InjectedBackend.from_entries(EXAMPLE1_ENTRIES)
     engine = CIEngine(backend)
     assert engine.p_value("X", "Y") == 0.01
     assert engine.p_value("Y", "X") == 0.01  # symmetric lookup
@@ -336,6 +336,14 @@ CONTINUOUS = ("t", "u", "v", "w", "z")
 CONTINUOUS_PAIRS = [("u", "t"), ("w", "v"), ("u", "v"), ("z", "w"), ("t", "z")]
 
 
+def z_reference(data):
+    """``reference_z_result`` of a canonical key on ``data``'s correlation
+    matrix, whose rows follow the schema's continuous columns."""
+    pos = {name: i for i, name in enumerate(v.name for v in data.schema if not v.is_discrete)}
+    corr = FisherZBackend(data).corr
+    return lambda key: reference_z_result(corr, data.n, [pos[v] for v in (key[0], key[1], *key[2])])
+
+
 def random_subsets(rng, names, count):
     out = [()]
     for _ in range(count):
@@ -371,13 +379,24 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
     pinv, chdtrc = np.linalg.pinv, special.chdtrc
     monkeypatch.setattr(np.linalg, "pinv", lambda a: stacks.append(a.ndim == 3) or pinv(a))
     monkeypatch.setattr(special, "chdtrc", lambda k, x: tables.append(np.size(x)) or chdtrc(k, x))
-    low_power = zero_dof = 0
+    batches = []
     for trial in range(4):
         keys = []
         if backend_kind != "fisherz":
             keys += mixed_keys(rng, TABLE_NAMES, TABLE_PAIRS, trial == 0)
         if backend_kind != "gtest":
             keys += mixed_keys(rng, CONTINUOUS, CONTINUOUS_PAIRS, trial == 0)
+        batches.append(keys)
+    if backend_kind != "gtest":
+        # A lone z-test, and block sizes one and three each held by one key
+        # of a wider batch.
+        z_ref = z_reference(data)
+        batches.append([canonical_key("u", "w", ("t",))])
+        batches.append([canonical_key(x, y, s) for x, y, s in (
+            ("u", "t", ()), ("w", "v", ()), ("u", "w", ("t",)), ("u", "v", ("t", "w", "z")),
+        )])
+    low_power = zero_dof = z_tests = 0
+    for keys in batches:
         got = backend.compute_many(keys)
         expected = [backend.compute(*key) for key in keys]
         assert list(map(bits, got)) == list(map(bits, expected)), keys
@@ -386,8 +405,12 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
                 table = count_table(data, (key[0], key[1], *key[2]))
                 assert bits(result) == bits(reference_g_result(table, n)), key
                 zero_dof += result.dof == 0
+            else:
+                assert bits(result) == bits(z_ref(key)), key
+                z_tests += 1
         low_power += sum(r.low_power for r in got)
     assert (low_power > 0) == (power == "low-power")
+    assert (z_tests > 0) == (backend_kind != "gtest")
     assert (zero_dof > 0) == (backend_kind != "fisherz")
     assert any(stacks) == (backend_kind != "gtest")
     # A G-test stack of several tables ran.
@@ -458,7 +481,7 @@ def test_p_values_matches_one_by_one_tests(rng):
 
 
 def test_p_values_loops_over_a_backend_without_compute_many():
-    engine = CIEngine(inject_results(EXAMPLE1_ENTRIES))
+    engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
     assert not hasattr(engine.backend, "compute_many")
     assert engine.p_values("Y", [("X", ()), ("X", ("Z",))]) == [0.01, 0.30]
     # The first uninjected query raises, after the ones before it are stored.

@@ -780,3 +780,35 @@ def test_directory_path_exits_2(tmp_path, capsys, example1_file, which):
     }[which]
     code, stdout, stderr = run(capsys, *argv, "--out", str(out), "--format", "json")
     assert_input_error(code, stdout, stderr, "IsADirectoryError", out)
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
+@pytest.mark.parametrize("backend", ["auto", "injected"])
+def test_learn_schema_repeating_a_name_exits_2(
+    tmp_path, capsys, example1_file, backend, algorithm
+):
+    # With injected results no CSV header catches the repeat, so the schema must.
+    schema = tmp_path / "schema.json"
+    names = ["X", "Y", "Z", "X"] if backend == "injected" else ["a", "b", "a"]
+    schema.write_text(json.dumps([{"name": name, **BINARY} for name in names]))
+    data = example1_file if backend == "injected" else str(write_ab_data(tmp_path))
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", data, "--backend", backend, "--schema", str(schema),
+        "--algorithm", algorithm, "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "SchemaError", out)
+    assert "'X' more than once" in stderr or "'a' more than once" in stderr
+
+
+@pytest.mark.parametrize(
+    "option", [["--cap-levels", "7"], ["--drop-dominant", "0.9"]], ids=" ".join
+)
+def test_learn_injected_refuses_data_options(tmp_path, capsys, example1_file, option):
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", example1_file, "--backend", "injected", *option,
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "ValueError", out)
+    assert json.loads(stderr)["error"]["message"].startswith(option[0] + " applies to CSV data")

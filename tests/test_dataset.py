@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causeweave import cap_levels, filter_dominant, load_csv
+from causeweave import CIEngine, cap_levels, filter_dominant, learn_structure, load_csv
+from causeweave.citest import make_backend
 from causeweave.dataset import VariableSchema, from_raw, joint_codes
 from causeweave.errors import (
     MissingColumn,
@@ -13,6 +14,7 @@ from causeweave.errors import (
     SchemaError,
     UnknownLevel,
 )
+from causeweave.score import fit_local
 from oracle_helpers import count_rows, decode
 
 SCHEMA3 = [
@@ -185,6 +187,22 @@ def test_codes_bins_continuous_with_ties():
     codes, n_levels = data.codes("c")
     assert n_levels == 3
     assert codes.tolist() == [2, 0, 2, 1, 2, 0, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("backend", ["gtest", "auto"])
+def test_codes_of_an_unknown_name_raise_missing_column(rng, backend):
+    # Whichever path reaches ``Dataset.codes`` first: a test, a learn, a fit.
+    schema = tuple(VariableSchema(f"V0{i}", "categorical", ("0", "1")) for i in range(3))
+    data = from_raw(schema, {v.name: [str(c) for c in rng.integers(0, 2, 30)] for v in schema})
+    calls = [
+        lambda: data.codes("nope"),
+        lambda: CIEngine(make_backend(data, backend)).test("V00", "nope"),
+        lambda: learn_structure([*data.names, "nope"], CIEngine(make_backend(data, backend))),
+        lambda: fit_local(data, "V00", ["nope"]),
+    ]
+    for call in calls:
+        with pytest.raises(MissingColumn, match="no variable named 'nope'"):
+            call()
 
 
 @st.composite

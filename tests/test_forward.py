@@ -2,10 +2,10 @@ import pytest
 
 from causeweave import (
     CIEngine,
+    InjectedBackend,
     OracleBackend,
     OracleGraph,
     forward_step,
-    inject_results,
 )
 from causeweave.errors import BudgetExceeded
 from causeweave.forward import ForwardSearch
@@ -22,7 +22,7 @@ VARS3 = ["X", "Y", "Z"]
 
 
 def engine_for(table):
-    return CIEngine(inject_results(ptable_entries(table)))
+    return CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
 
 
 def test_example1_extensions(example1_engine):
@@ -41,7 +41,7 @@ def test_example1_family(example1_engine):
 def test_isolated_target_yields_empty_set_family():
     entries = [("X", "Y", (), 0.9), ("X", "Z", (), 0.8), ("Y", "Z", (), 0.9),
                ("X", "Y", ("Z",), 0.9), ("X", "Z", ("Y",), 0.9), ("Y", "Z", ("X",), 0.9)]
-    fam = forward_step("X", VARS3, CIEngine(inject_results(entries)), alpha=0.05)
+    fam = forward_step("X", VARS3, CIEngine(InjectedBackend.from_entries(entries)), alpha=0.05)
     assert tuple(map(frozenset, fam.family)) == (frozenset(),)
 
 
@@ -155,7 +155,8 @@ def test_oracle_family_contains_true_neighborhood(rng):
             )
 
 
-def test_budget_exceeded(example1_engine):
-    with pytest.raises(BudgetExceeded):
-        ForwardSearch("X", VARS3, example1_engine, alpha=0.05, budget=2).run()
+def test_budget_exceeded(example1_engine, monkeypatch):
+    monkeypatch.setattr("causeweave.forward.BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="more than 2 candidate sets"):
+        ForwardSearch("X", VARS3, example1_engine, alpha=0.05).run()
 

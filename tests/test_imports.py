@@ -1,7 +1,10 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and no package module imports another package module's private name.
 
 A deletion or a moved helper that leaves its imports behind fails here.
-The package's ``__init__.py`` re-exports names for callers, so it is exempt.
+The package's ``__init__.py`` re-exports names for callers, so it is exempt
+from the first check.  Tests may import private names on purpose, so the
+second check reads the package only.
 """
 
 import ast
@@ -44,6 +47,37 @@ def test_no_unused_imports_in_package():
 
 def test_no_unused_imports_in_tests():
     assert stale_imports(sorted(TESTS.glob("*.py"))) == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names ``source`` imports from a package module."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "causeweave")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_names_imported_across_package_modules():
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := private_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_private_import_is_reported():
+    source = (
+        "from .maximize import _better, best_record\n"
+        "from causeweave.experiments import _map_reps\n"
+        "from os import _exit\n"
+        "from __future__ import annotations\n"
+    )
+    assert private_imports(source) == ["_better (line 1)", "_map_reps (line 2)"]
 
 
 def test_unused_import_is_reported():

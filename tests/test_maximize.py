@@ -5,10 +5,10 @@ import pytest
 
 from causeweave import (
     CIEngine,
+    InjectedBackend,
     OracleBackend,
     OracleGraph,
     forward_step,
-    inject_results,
     maximization_step,
     q_value,
 )
@@ -28,7 +28,7 @@ VARS3 = ["X", "Y", "Z"]
 
 
 def engine_for(table):
-    return CIEngine(inject_results(ptable_entries(table)))
+    return CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
 
 
 def family_of(target, members_list):

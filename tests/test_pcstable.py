@@ -1,7 +1,7 @@
 from causeweave import (
     CIEngine,
+    InjectedBackend,
     OracleBackend,
-    inject_results,
     learn_structure,
     pc_stable,
     pc_stable_skeleton,
@@ -22,7 +22,9 @@ def test_example1_contrast(example1_engine):
     assert seps[("X", "Y")].p_value == 0.30
     assert seps[("X", "Z")].witness == ("Y",)
 
-    proposed = learn_structure(VARS3, CIEngine(inject_results(EXAMPLE1_ENTRIES)), alpha=0.05)
+    proposed = learn_structure(
+        VARS3, CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES)), alpha=0.05
+    )
     x_edges_proposed = [p for p in proposed.skeleton_pairs() if "X" in p]
     x_edges_pc = [p for p in skeleton.skeleton_pairs() if "X" in p]
     assert len(x_edges_proposed) == 1
@@ -31,7 +33,7 @@ def test_example1_contrast(example1_engine):
 
 def test_fully_independent_gives_empty_graph():
     entries = [("A", "B", (), 0.9), ("A", "C", (), 0.7), ("B", "C", (), 0.8)]
-    skeleton = pc_stable_skeleton(["A", "B", "C"], CIEngine(inject_results(entries)))
+    skeleton = pc_stable_skeleton(["A", "B", "C"], CIEngine(InjectedBackend.from_entries(entries)))
     assert skeleton.skeleton_pairs() == set()
     assert len(skeleton.sepsets) == 3  # every deleted pair keeps its separator
 
@@ -50,10 +52,10 @@ def test_order_independence(rng):
         names = [f"T{i}" for i in range(6)]
         table = random_ptable(names, rng)
         alpha = float(rng.uniform(0.2, 0.8))
-        engine = CIEngine(inject_results(ptable_entries(table)))
+        engine = CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
         base = pc_stable_skeleton(names, engine, alpha=alpha, m_ci=3)
         perm = list(rng.permutation(names))
-        engine2 = CIEngine(inject_results(ptable_entries(table)))
+        engine2 = CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
         shuffled = pc_stable_skeleton(perm, engine2, alpha=alpha, m_ci=3)
         assert base.skeleton_pairs() == shuffled.skeleton_pairs()
         assert base.sepsets == shuffled.sepsets
@@ -75,7 +77,7 @@ def test_no_query_is_asked_twice(rng):
     for _ in range(10):
         names = [f"T{i}" for i in range(6)]
         table = random_ptable(names, rng)
-        engine = CIEngine(inject_results(ptable_entries(table)))
+        engine = CIEngine(InjectedBackend.from_entries(ptable_entries(table)))
         engines.append((names, engine, float(rng.uniform(0.2, 0.8))))
     for variables, engine, alpha in engines:
         with engine.trace() as log:

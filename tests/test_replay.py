@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, inject_results, maximize
+from causeweave import CIEngine, InjectedBackend, maximize
 from causeweave.citest import STACK_CELLS, GTestBackend, make_backend
 from causeweave.dataset import Dataset, VariableSchema, from_raw
 from causeweave.forward import ForwardSearch
@@ -134,7 +134,7 @@ def engines(kind, seed):
     if kind.startswith("injected"):
         names = [f"V{i}" for i in range(9)]
         entries = injected_entries(names, seed, zero_pairs=kind == "injected-zeros")
-        backends = (inject_results(entries), inject_results(entries))
+        backends = (InjectedBackend.from_entries(entries), InjectedBackend.from_entries(entries))
     else:
         data = {"gtest": categorical, "fisherz": continuous, "auto": mixed,
                 "fisherz-wide": wide, "gtest-levels": categorical_levels,

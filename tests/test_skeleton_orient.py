@@ -2,16 +2,17 @@ import pytest
 
 from causeweave import (
     CIEngine,
+    InjectedBackend,
     OracleBackend,
     build_skeleton,
     compute_sepsets,
     edge_significance,
     forward_step,
-    inject_results,
     learn_structure,
     maximization_step,
     orient,
     pc_stable,
+    pc_stable_skeleton,
 )
 from causeweave.errors import PriorKnowledgeCycle, UnknownVertex
 from causeweave.forward import NeighborhoodFamily
@@ -235,6 +236,15 @@ def test_bad_prior_raises_before_any_query(example1_engine, learner, prior, erro
     assert example1_engine.cache.hits == example1_engine.cache.misses == 0
 
 
+@pytest.mark.parametrize("learner", [learn_structure, pc_stable, pc_stable_skeleton])
+def test_repeated_variable_raises_before_any_query(example1_engine, learner):
+    with example1_engine.trace() as log:
+        with pytest.raises(ValueError, match=r"more than once: \['X'\]"):
+            learner(["X", "Y", "Z", "X"], example1_engine)
+    assert log == []
+    assert example1_engine.cache.hits == example1_engine.cache.misses == 0
+
+
 def test_propagation_unshielded_rule():
     # A->B committed, B-C undirected, A-C non-adjacent: forces B->C; same
     # for B-D; C-D has neither a directed path nor an unshielded arrow
@@ -310,7 +320,7 @@ def learning_cases(rng):
         names = [f"T{i}" for i in range(int(rng.integers(4, 7)))]
         entries = ptable_entries(random_ptable(names, rng))
         alpha = float(rng.uniform(0.2, 0.8))
-        yield names, lambda e=entries: CIEngine(inject_results(e)), alpha
+        yield names, lambda e=entries: CIEngine(InjectedBackend.from_entries(e)), alpha
     for _ in range(20):
         dag = random_dag(7, rng, edge_prob=0.3, max_degree=3)
         yield list(dag.vertices), lambda d=dag: CIEngine(OracleBackend(d)), 0.05
