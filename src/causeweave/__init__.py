@@ -42,7 +42,6 @@ from .simgen import (
     evaluate_recovery,
     gen_linear_sem,
     make_discrete_net,
-    random_dag,
 )
 from .skeleton_orient import (
     Cpdag,

@@ -7,12 +7,15 @@ engine at most once per anchor x.
 
 A candidate's quality is the minimum separation score over all
 non-members: a good neighborhood lets some subset of itself separate the
-target from everything else.  Selection scans candidates with a running
-floor so hopeless candidates are abandoned on the first non-member they
-fail to separate.  A score is at least its marginal p-value (the empty
-subset is always tested), so only a non-member whose marginal p-value is at
-or below the floor can stop the scan: the non-members are scored in batches
-that each end at such a variable, and nothing after a stop is ever asked.
+target from everything else.  A score is never below its marginal p-value
+(the empty subset is always tested), so the non-members are ranked by
+marginal p-value and the lowest is scored first: its score bounds the
+minimum, and a non-member whose marginal is at or above that bound can
+never lower it and is not scored.  Selection scans candidates with a
+running floor, so a hopeless candidate is abandoned on the first
+non-member it fails to separate; only a non-member whose marginal is at or
+below the floor can stop the scan, so the rest are scored in batches that
+each end at such a variable, and nothing after a stop is ever asked.
 The winner's scores against every other variable are
 kept with the selection; the skeleton reads its p-values and separating
 sets from them without testing again.  ``best_record`` is the one rule that
@@ -112,25 +115,35 @@ def q_value(
     """Minimum separation score of ``computer.anchor`` against every
     variable outside ``n``, scored by ``computer``.
 
-    Returns positive infinity when there is no outside variable.  As soon as
-    any score drops to ``floor`` or below, that score is returned directly:
-    the minimum cannot beat the floor anymore.  A score is at least its
-    marginal p-value, so only an other whose marginal p-value is at or below
-    ``floor`` can end the scan; the others are cut into runs that each end
-    at such a variable, and each run is scored as one batch.
+    Returns positive infinity when there is no outside variable.  The
+    others are ranked by (marginal p-value, name) and the first is scored
+    alone.  A score is at least its marginal p-value, so the first score
+    bounds the minimum: an other whose marginal is at or above it cannot
+    lower the minimum and is never scored given ``n``.  As soon as any score
+    drops to ``floor`` or below, that score is returned directly: the
+    minimum cannot beat the floor anymore.  Only an other whose marginal
+    p-value is at or below ``floor`` can end the scan, so the others below
+    the bound are cut into runs that each end at such a variable, and each
+    run is scored as one batch.
     """
     x = computer.anchor
     n = frozenset(n)
     if x in n or not n <= set(variables):
         raise ValueError(f"candidate set {sorted(n)!r} invalid for target {x!r}")
     others = sorted(set(variables) - n - {x})
-    marginals = computer.scores(others, ())
-    q = math.inf
+    if not others:
+        return math.inf
+    marginals = [record.p_value for record in computer.scores(others, ())]
+    (_, first), *rest = sorted(zip(marginals, others))
+    q = computer.score(first, n).p_value
+    if q <= floor:
+        return q
+    below = [(marginal, other) for marginal, other in rest if marginal < q]
     start = 0
-    for end, marginal in enumerate(marginals, 1):
-        if marginal.p_value > floor and end < len(others):
+    for end, (marginal, _) in enumerate(below, 1):
+        if marginal > floor and end < len(below):
             continue
-        for record in computer.scores(others[start:end], n):
+        for record in computer.scores([other for _, other in below[start:end]], n):
             if record.p_value <= floor:
                 return record.p_value
             q = min(q, record.p_value)
@@ -150,7 +163,8 @@ def maximization_step(
     Candidates are scanned in (cardinality, member-order) sequence with a
     rising floor, so ties resolve to the smaller, earlier set and losing
     candidates are abandoned early; the outcome equals a full argmax.  The
-    selection records the winner's score against every other variable.
+    selection records the winner's score against every other variable: the
+    non-members share one conditioning set and are asked as one batch.
     """
     if not family.family:
         raise EmptyFamily(f"no candidate neighborhoods for {x!r}")
@@ -163,6 +177,7 @@ def maximization_step(
         q = q_value(computer, cand, variables, floor=chosen_q)
         if chosen is None or q > chosen_q:
             chosen, chosen_q = cand, q
-    n = frozenset(chosen)
-    separation = {v: computer.score(v, n - {v}) for v in variables if v != x}
+    outside = [v for v in variables if v != x and v not in chosen]
+    separation = dict(zip(outside, computer.scores(outside, chosen)))
+    separation.update((v, computer.score(v, set(chosen) - {v})) for v in chosen)
     return NeighborSelection(target=x, chosen=chosen, q_value=chosen_q, separation=separation)

@@ -84,30 +84,6 @@ def gen_linear_sem(spec: LinearSemSpec) -> tuple[Dataset, OracleGraph]:
     return Dataset(schema=schema, columns=columns, n=n), graph
 
 
-def random_dag(
-    k: int,
-    rng: np.random.Generator,
-    edge_prob: float = 0.3,
-    max_degree: int | None = None,
-    names: tuple[str, ...] | None = None,
-) -> OracleGraph:
-    """Random DAG over a random vertex order with an optional degree cap."""
-    names = names if names is not None else _names(k)
-    order = rng.permutation(k)
-    degree = np.zeros(k, dtype=np.int64)
-    edges = set()
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = order[a], order[b]
-            if max_degree is not None and (degree[i] >= max_degree or degree[j] >= max_degree):
-                continue
-            if rng.random() < edge_prob:
-                edges.add((names[i], names[j]))
-                degree[i] += 1
-                degree[j] += 1
-    return OracleGraph(vertices=names, edges=frozenset(edges))
-
-
 @dataclass(frozen=True)
 class DiscreteNet:
     """A discrete network: DAG, level count, and one CPT per vertex.

@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 from scipy import special
 
-from causeweave.citest import BACKEND_FISHERZ, BACKEND_GTEST, CITestResult
+from causeweave.citest import BACKEND_FISHERZ, BACKEND_GTEST, CITestResult, OracleGraph
 
 
 def all_subsets(items, max_size=None):
@@ -78,6 +78,37 @@ def cpdag_vstructs(g) -> set[tuple[str, str, str]]:
                 if not g.has_edge(a, b):
                     out.add((a, z, b))
     return out
+
+
+# -- random graphs ---------------------------------------------------------------
+
+
+def random_dag(
+    k: int,
+    rng: np.random.Generator,
+    edge_prob: float = 0.3,
+    max_degree: int | None = None,
+    names: tuple[str, ...] | None = None,
+) -> OracleGraph:
+    """Random DAG over a random vertex order with an optional degree cap;
+    by default the vertices are named as the package's generators name them
+    (``V00``, ``V01``, ...)."""
+    if names is None:
+        width = max(2, len(str(k - 1)))
+        names = tuple(f"V{i:0{width}d}" for i in range(k))
+    order = rng.permutation(k)
+    degree = np.zeros(k, dtype=np.int64)
+    edges = set()
+    for a in range(k):
+        for b in range(a + 1, k):
+            i, j = order[a], order[b]
+            if max_degree is not None and (degree[i] >= max_degree or degree[j] >= max_degree):
+                continue
+            if rng.random() < edge_prob:
+                edges.add((names[i], names[j]))
+                degree[i] += 1
+                degree[j] += 1
+    return OracleGraph(vertices=names, edges=frozenset(edges))
 
 
 # -- injected p-value tables -------------------------------------------------
@@ -246,6 +277,25 @@ def decode(data) -> dict[str, list]:
 
 
 # -- differential replay -------------------------------------------------------
+
+
+def full_scan_q_value(computer, n, variables, floor=-math.inf):
+    """``maximize.q_value`` before its bound: every other is scored, in name
+    order, in batches that each end at an other whose marginal p-value is at
+    or below ``floor``, until the first score at or below ``floor``."""
+    others = sorted(set(variables) - set(n) - {computer.anchor})
+    marginals = computer.scores(others, ())
+    q = math.inf
+    start = 0
+    for end, marginal in enumerate(marginals, 1):
+        if marginal.p_value > floor and end < len(others):
+            continue
+        for record in computer.scores(others[start:end], n):
+            if record.p_value <= floor:
+                return record.p_value
+            q = min(q, record.p_value)
+        start = end
+    return q
 
 
 def cache_dump(engine) -> dict:

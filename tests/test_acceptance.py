@@ -45,7 +45,6 @@ from causeweave.experiments import (
 from causeweave.forward import ForwardSearch
 from causeweave.maximize import SepComputer
 from causeweave.score import fit_local
-from causeweave.simgen import random_dag
 from causeweave.skeleton_orient import Cpdag
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import (
@@ -55,6 +54,7 @@ from oracle_helpers import (
     exhaustive_sep,
     maximal_sets,
     ptable_entries,
+    random_dag,
     random_ptable,
     true_vstructs,
 )

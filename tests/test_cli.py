@@ -4,26 +4,37 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, cap_levels, errors, learn_structure, load_csv
-from causeweave.citest import make_backend
+from causeweave import (
+    CIEngine,
+    InjectedBackend,
+    cap_levels,
+    errors,
+    forward_step,
+    learn_structure,
+    load_csv,
+    maximization_step,
+    maximize,
+)
+from causeweave.citest import canonical_key, make_backend
 from causeweave.cli import main
 from conftest import EXAMPLE1_ENTRIES
-from oracle_helpers import decode
+from oracle_helpers import cache_dump, decode, full_scan_q_value, ptable_entries, random_ptable
+
+
+def write_injected(path, entries):
+    """Write ``(x, y, s, p)`` entries as an injected-results file."""
+    path.write_text(json.dumps([{"x": x, "y": y, "s": list(s), "p": p} for x, y, s, p in entries]))
+    return str(path)
 
 
 @pytest.fixture
 def example1_file(tmp_path):
-    path = tmp_path / "example1.json"
-    path.write_text(
-        json.dumps(
-            [{"x": x, "y": y, "s": list(s), "p": p} for x, y, s, p in EXAMPLE1_ENTRIES]
-        )
-    )
-    return str(path)
+    return write_injected(tmp_path / "example1.json", EXAMPLE1_ENTRIES)
 
 
 def run(capsys, *argv):
@@ -812,3 +823,42 @@ def test_learn_injected_refuses_data_options(tmp_path, capsys, example1_file, op
     )
     assert_input_error(code, stdout, stderr, "ValueError", out)
     assert json.loads(stderr)["error"]["message"].startswith(option[0] + " applies to CSV data")
+
+
+def test_learn_injected_needs_only_the_queries_selection_asks(tmp_path, capsys):
+    # Selection never scores a non-member whose marginal p-value is at or
+    # above its first score, so an injected table may lack those queries.
+    names = [f"V{i}" for i in range(8)]
+    table = {key: p**6 for key, p in random_ptable(names, np.random.default_rng(5)).items()}
+    engine = CIEngine(InjectedBackend(dict(table)))
+    learn_structure(names, engine)
+    asked = {key: table[key] for key in cache_dump(engine)}
+    # The full scan asks a query the table lacks.
+    with mock.patch.object(maximize, "q_value", full_scan_q_value):
+        with pytest.raises(errors.UninjectedQuery):
+            learn_structure(names, CIEngine(InjectedBackend(dict(asked))))
+    outputs = []
+    for name, entries in (("complete", table), ("asked", asked)):
+        out = tmp_path / f"{name}-graph.json"
+        data = write_injected(tmp_path / f"{name}.json", ptable_entries(entries))
+        code, _, _ = run(
+            capsys, "learn", "--data", data, "--backend", "injected",
+            "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # A query of the winner's closing scores is still asked: the non-member
+    # with the largest marginal p-value, given the whole winning set.
+    family = forward_step("V0", names, engine)
+    chosen = maximization_step("V0", family, names, engine).chosen
+    assert 1 <= len(chosen) <= 3
+    other = max((v for v in names[1:] if v not in chosen), key=lambda v: table[("V0", v, ())])
+    closing = canonical_key("V0", other, chosen)
+    lacking = {key: p for key, p in asked.items() if key != closing}
+    data = write_injected(tmp_path / "closing.json", ptable_entries(lacking))
+    out = tmp_path / "closing-graph.json"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", data, "--backend", "injected", "--out", str(out), "--format", "json"
+    )
+    assert_input_error(code, stdout, stderr, "UninjectedQuery", out)

@@ -4,9 +4,9 @@ import pytest
 from causeweave import CIEngine, OracleBackend, OracleGraph, d_sep
 from causeweave.citest import topological_order
 from causeweave.errors import UnknownVertex
-from causeweave.simgen import make_discrete_net, random_dag
+from causeweave.simgen import make_discrete_net
 from causeweave.skeleton_orient import Cpdag
-from oracle_helpers import all_subsets, brute_force_dsep
+from oracle_helpers import all_subsets, brute_force_dsep, random_dag
 
 
 def graph(edges, vertices=None):

@@ -9,12 +9,12 @@ from causeweave import (
 )
 from causeweave.errors import BudgetExceeded
 from causeweave.forward import ForwardSearch
-from causeweave.simgen import random_dag
 from oracle_helpers import (
     all_admissible_sets,
     definitional_extensions,
     maximal_sets,
     ptable_entries,
+    random_dag,
     random_ptable,
 )
 

@@ -16,11 +16,12 @@ from causeweave.citest import canonical_key
 from causeweave.errors import EmptyFamily
 from causeweave.forward import NeighborhoodFamily
 from causeweave.maximize import SepComputer
-from causeweave.simgen import random_dag
 from oracle_helpers import (
     exhaustive_q,
     exhaustive_sep,
+    lookup,
     ptable_entries,
+    random_dag,
     random_ptable,
 )
 
@@ -110,6 +111,53 @@ def test_q_early_exit_agrees_with_full_scan(rng):
         assert q_value(SepComputer("T0", engine, m_ci=3), n, names, floor=full - 0.01) == full
 
 
+def tied_ptable(names, rng):
+    """A complete table drawn from five p-values, so that marginals tie with
+    each other and with separation scores."""
+    return {
+        key: float(rng.choice([0.01, 0.1, 0.3, 0.6, 0.9]))
+        for key in random_ptable(names, rng)
+    }
+
+
+def test_bounded_q_matches_exhaustive_and_skips_what_cannot_win(rng):
+    skipped_total = 0
+    for _ in range(200):
+        names = [f"T{i}" for i in range(6)]
+        table = tied_ptable(names, rng)
+        engine = engine_for(table)
+        size = int(rng.integers(0, 5))
+        n = tuple(sorted(rng.choice(names[1:], size=size, replace=False)))
+        m_ci = int(rng.integers(1, 4))
+        floor = float(rng.choice([-math.inf, 0.0, 0.01, 0.1, 0.3, rng.random()]))
+        with engine.trace() as log:
+            q = q_value(SepComputer("T0", engine, m_ci=m_ci), n, names, floor=floor)
+        # criterion 4: no query is asked twice
+        assert len(log) == len(set(log))
+        want = exhaustive_q(table, "T0", n, names, m_ci=m_ci)
+        if q > floor:
+            assert q == want
+        else:
+            assert want <= q
+        # the lowest (marginal, name) is scored first; an other whose
+        # marginal is at or above its score is never asked given n
+        ranked = sorted((lookup(table, "T0", v), v) for v in names[1:] if v not in n)
+        first = exhaustive_sep(table, "T0", ranked[0][1], n, m_ci=m_ci)[0]
+        skipped = {v for marginal, v in ranked[1:] if marginal >= first}
+        assert not [key for key in log if key[2] and key[1] in skipped]
+        skipped_total += len(skipped) if n else 0
+    assert skipped_total > 0
+
+
+def test_bounded_q_without_outside_variable_is_infinite(rng):
+    names = [f"T{i}" for i in range(4)]
+    engine = engine_for(tied_ptable(names, rng))
+    for floor in (-math.inf, 0.0, 0.5):
+        with engine.trace() as log:
+            assert q_value(SepComputer("T0", engine), names[1:], names, floor=floor) == math.inf
+        assert log == []
+
+
 def test_example1_selection(example1_engine):
     fam = forward_step("X", VARS3, example1_engine, alpha=0.05)
     sel = maximization_step("X", fam, VARS3, example1_engine)
@@ -167,9 +215,9 @@ def test_selection_invariant_under_monotone_transform(rng):
 
 
 def test_no_repeated_query_within_maximization(rng):
-    for _ in range(10):
+    for make_table in [random_ptable] * 10 + [tied_ptable] * 10:
         names = [f"T{i}" for i in range(6)]
-        table = random_ptable(names, rng)
+        table = make_table(names, rng)
         engine = engine_for(table)
         fam = forward_step("T3", names, engine, alpha=0.5, m_ci=3)
         with engine.trace() as log:

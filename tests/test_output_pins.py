@@ -19,8 +19,8 @@ import pytest
 
 from causeweave import CIEngine, InjectedBackend, OracleBackend, learn_structure, pc_stable
 from causeweave.cli import main
-from causeweave.simgen import random_dag
 from causeweave.skeleton_orient import PriorKnowledge
+from oracle_helpers import random_dag
 
 FIXTURE = Path(__file__).parent / "fixtures" / "example1_injected.json"
 EXAMPLE1_TIERS = {"Y": 0, "X": 1, "Z": 1}

@@ -6,9 +6,8 @@ from causeweave import (
     pc_stable,
     pc_stable_skeleton,
 )
-from causeweave.simgen import random_dag
 from conftest import EXAMPLE1_ENTRIES
-from oracle_helpers import ptable_entries, random_ptable
+from oracle_helpers import ptable_entries, random_dag, random_ptable
 
 VARS3 = ["X", "Y", "Z"]
 

@@ -1,4 +1,5 @@
-"""Differential replay: the batched query path against the one-by-one path.
+"""Differential replay: the batched query path against the one-by-one path,
+and the bounded selection scan against the full scan.
 
 A full ``learn_structure`` runs twice on fixed seeds and equal backends,
 once on a ``CIEngine`` and once on a reference engine whose ``p_values``
@@ -7,6 +8,14 @@ candidate at a time (``plain_extensions``) and selection scoring one other
 variable at a time (``plain_q_value``).  The two engine caches must hold
 the same queries with bitwise-equal results and equal hit and miss counts,
 and the two graphs must serialize alike.
+
+The bounded ``q_value`` skips every non-member whose marginal p-value is at
+or above the first score; the full scan it replaced
+(``oracle_helpers.full_scan_q_value``) scored them all.  Both must pick the
+same selections and graphs with bitwise-equal results for the queries both
+ask.  A losing candidate's scan may stop at its floor on another
+non-member in each, so the bounded run may ask a query the full scan did
+not, but only in a scan that stopped at its floor.
 """
 
 import dataclasses
@@ -16,14 +25,20 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, InjectedBackend, maximize
+from causeweave import CIEngine, InjectedBackend, OracleBackend, maximize, skeleton_orient
 from causeweave.citest import STACK_CELLS, GTestBackend, make_backend
 from causeweave.dataset import Dataset, VariableSchema, from_raw
 from causeweave.forward import ForwardSearch
 from causeweave.pcstable import pc_stable
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import PriorKnowledge, learn_structure
-from oracle_helpers import assert_same_dumps, cache_dump, random_ptable
+from oracle_helpers import (
+    assert_same_dumps,
+    cache_dump,
+    full_scan_q_value,
+    random_dag,
+    random_ptable,
+)
 
 
 class OneByOne(CIEngine):
@@ -55,14 +70,19 @@ def plain_extensions(search, s):
 
 
 def plain_q_value(computer, n, variables, floor=-math.inf):
-    """``maximize.q_value`` as a loop that scores one other at a time and
-    stops at the first score at or below ``floor``."""
-    q = math.inf
-    for other in sorted(set(variables) - set(n) - {computer.anchor}):
-        value = computer.score(other, n).p_value
-        if value <= floor:
-            return value
-        q = min(q, value)
+    """``maximize.q_value`` as a loop that scores one other at a time: the
+    lowest (marginal p-value, name) first, then, in ascending order, each
+    other whose marginal lies below that first score, stopping at the first
+    score at or below ``floor``."""
+    others = sorted(set(variables) - set(n) - {computer.anchor})
+    if not others:
+        return math.inf
+    ranked = sorted((computer.score(other, ()).p_value, other) for other in others)
+    q = bound = computer.score(ranked[0][1], n).p_value
+    for marginal, other in ranked[1:]:
+        if q <= floor or marginal >= bound:
+            break
+        q = min(q, computer.score(other, n).p_value)
     return q
 
 
@@ -135,6 +155,10 @@ def engines(kind, seed):
         names = [f"V{i}" for i in range(9)]
         entries = injected_entries(names, seed, zero_pairs=kind == "injected-zeros")
         backends = (InjectedBackend.from_entries(entries), InjectedBackend.from_entries(entries))
+    elif kind == "oracle":
+        dag = random_dag(9, np.random.default_rng(seed), edge_prob=0.35, max_degree=3)
+        names = list(dag.vertices)
+        backends = (OracleBackend(dag), OracleBackend(dag))
     else:
         data = {"gtest": categorical, "fisherz": continuous, "auto": mixed,
                 "fisherz-wide": wide, "gtest-levels": categorical_levels,
@@ -143,6 +167,11 @@ def engines(kind, seed):
         backend = kind.partition("-")[0]
         backends = (make_backend(data, backend), make_backend(data, backend))
     return names, CIEngine(backends[0]), OneByOne(backends[1])
+
+
+def tiers(names):
+    """A prior that puts three variables per tier, in name-list order."""
+    return PriorKnowledge(tiers={v: i // 3 for i, v in enumerate(names)})
 
 
 def replay(kind, seed, learner=learn_structure, **kwargs):
@@ -240,9 +269,8 @@ def test_injected_replay_stops_where_the_plain_scan_stops():
 
 def test_batched_queries_replay_with_prior_and_pc_stable():
     names, _, _ = engines("auto", 2)
-    prior = PriorKnowledge(tiers={v: i // 3 for i, v in enumerate(names)})
     for learner in (learn_structure, pc_stable):
-        assert_replayed(*replay("auto", 2, learner, prior=prior))
+        assert_replayed(*replay("auto", 2, learner, prior=tiers(names)))
 
 
 def test_replay_helper_catches_one_ulp():
@@ -254,3 +282,50 @@ def test_replay_helper_catches_one_ulp():
     reference.cache.store(key, dataclasses.replace(result, statistic=moved))
     with pytest.raises(AssertionError, match="1 cache entries differ"):
         assert_same_dumps(cache_dump(batched), cache_dump(reference))
+
+
+def learn_with(q_value, kind, seed, prior):
+    """A learn on a fresh engine with ``q_value`` as selection's scan: its
+    engine, its graph, each target's selection and the queries asked by the
+    scans that stopped at their floor."""
+    names, engine, _ = engines(kind, seed)
+    selections, stopped = {}, set()
+    step = maximize.maximization_step
+
+    def spy_step(x, *args, **kwargs):
+        selections[x] = step(x, *args, **kwargs)
+        return selections[x]
+
+    def spy_scan(computer, n, variables, floor=-math.inf):
+        with engine.trace() as log:
+            q = q_value(computer, n, variables, floor)
+        if q <= floor:
+            stopped.update(log)
+        return q
+
+    with mock.patch.object(maximize, "q_value", spy_scan), mock.patch.object(
+        skeleton_orient, "maximization_step", spy_step
+    ):
+        graph = learn_structure(names, engine, prior=tiers(names) if prior else None)
+    return engine, graph, selections, stopped
+
+
+@pytest.mark.parametrize("prior", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["gtest", "fisherz", "auto", "injected", "oracle"])
+def test_bounded_scan_matches_the_full_scan(kind, seed, prior):
+    bounded, graph, selections, stopped = learn_with(maximize.q_value, kind, seed, prior)
+    full, full_graph, full_selections, _ = learn_with(full_scan_q_value, kind, seed, prior)
+    assert graph.to_json() == full_graph.to_json()
+    assert selections == full_selections
+    asked, full_asked = cache_dump(bounded), cache_dump(full)
+    shared = asked.keys() & full_asked.keys()
+    assert_same_dumps({k: asked[k] for k in shared}, {k: full_asked[k] for k in shared})
+    assert asked.keys() - full_asked.keys() <= stopped
+
+
+@pytest.mark.parametrize("kind", ["gtest", "fisherz", "auto", "injected", "oracle"])
+def test_bounded_scan_asks_fewer_queries(kind):
+    bounded, _, _, _ = learn_with(maximize.q_value, kind, 0, False)
+    full, _, _, _ = learn_with(full_scan_q_value, kind, 0, False)
+    assert bounded.cache.misses < full.cache.misses

@@ -9,8 +9,9 @@ from causeweave import (
 )
 from causeweave.citest import OracleGraph
 from causeweave.errors import VertexMismatch
-from causeweave.simgen import random_dag, roc_curve, skeleton_rates
+from causeweave.simgen import roc_curve, skeleton_rates
 from causeweave.skeleton_orient import Cpdag
+from oracle_helpers import random_dag
 
 
 def cpdag_with(vertices, pairs):

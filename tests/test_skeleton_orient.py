@@ -17,7 +17,6 @@ from causeweave import (
 from causeweave.errors import PriorKnowledgeCycle, UnknownVertex
 from causeweave.forward import NeighborhoodFamily
 from causeweave.maximize import NeighborSelection, SepComputer
-from causeweave.simgen import random_dag
 from causeweave.skeleton_orient import (
     Cpdag,
     PriorKnowledge,
@@ -25,7 +24,13 @@ from causeweave.skeleton_orient import (
     cpdag_from_dot,
     pair_key,
 )
-from oracle_helpers import cpdag_vstructs, ptable_entries, random_ptable, true_vstructs
+from oracle_helpers import (
+    cpdag_vstructs,
+    ptable_entries,
+    random_dag,
+    random_ptable,
+    true_vstructs,
+)
 
 
 def selection(target, members, q=1.0):
