@@ -62,6 +62,15 @@ DEFAULT_ALPHA = 0.05
 STACK_CELLS = 512
 
 
+def check_settings(alpha: float, m_ci: int) -> None:
+    """Both learners' refusal of a significance level outside (0, 1) or a
+    conditioning cap below 1, before any test."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if m_ci < 1:
+        raise ValueError(f"conditioning cap must be >= 1, got {m_ci}")
+
+
 def pair_key(a: str, b: str) -> Pair:
     """The one encoding of an unordered pair: its two names in sorted order.
 
@@ -115,21 +124,13 @@ class CICache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def lookup(self, key: QueryKey) -> CITestResult | None:
-        found = self._store.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
     def lookup_many(
         self, keys: list[QueryKey]
     ) -> tuple[dict[QueryKey, CITestResult], list[QueryKey]]:
         """The stored results among ``keys``, and the keys not stored yet,
-        each once, in first-seen order.  Counts as ``lookup`` on each key in
-        turn would if every miss were stored before the next lookup: one
-        miss per key returned missing, a hit otherwise."""
+        each once, in first-seen order.  Counts one miss per key returned
+        missing and a hit for every other key, as looking the keys up one at
+        a time would if every miss were stored before the next lookup."""
         found: dict[QueryKey, CITestResult] = {}
         missing = []
         for key in dict.fromkeys(keys):
@@ -573,11 +574,11 @@ class CIEngine:
         key = canonical_key(x, y, s)
         if self._trace is not None:
             self._trace.append(key)
-        found = self.cache.lookup(key)
-        if found is None:
-            found = self.backend.compute(key[0], key[1], key[2])
-            self.cache.store(key, found)
-        return found
+        found, missing = self.cache.lookup_many([key])
+        if missing:
+            found[key] = self.backend.compute(*key)
+            self.cache.store(key, found[key])
+        return found[key]
 
     def p_value(self, x: str, y: str, s=()) -> float:
         return self.test(x, y, s).p_value

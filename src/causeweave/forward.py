@@ -14,15 +14,18 @@ upper bound, and membership is settled with tests conditioned on exactly
 twice within one search.  Above the conditioning-size cap the upper bound
 itself is used as the extension set (no further testing).
 
-The search returns the admissible sets that could not be extended,
-filtered down to the ones that are maximal under inclusion.
+Each candidate set is a tuple of its members in enumeration order.  A set
+only ever grows by a variable ranked after its last member, so it is made
+exactly once, from the set without its last member.  Every level then
+comes out in (member ranks) order, and so do the sets that cannot be
+extended; the maximal ones among them form the family, in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, check_settings
 from .errors import BudgetExceeded
 
 # Candidate sets one search may expand before it raises ``BudgetExceeded``.
@@ -58,67 +61,61 @@ class ForwardSearch:
         variables = list(variables)
         if target not in variables:
             raise ValueError(f"target {target!r} not among variables")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if m_ci < 1:
-            raise ValueError(f"conditioning cap must be >= 1, got {m_ci}")
+        check_settings(alpha, m_ci)
         self.target = target
         self.engine = engine
         self.alpha = alpha
         self.m_ci = m_ci
         self.order = tuple(v for v in variables if v != target)
         self.rank = {v: i for i, v in enumerate(self.order)}
-        self.memo: dict[frozenset[str], frozenset[str]] = {}
+        self.memo: dict[tuple[str, ...], frozenset[str]] = {}
         self.expanded = 0
 
     def _dependent(self, other: str, cond) -> bool:
         return self.engine.p_value(self.target, other, cond) <= self.alpha
 
-    def _sorted(self, s) -> list[str]:
-        return sorted(s, key=self.rank.__getitem__)
-
-    def extensions(self, s: frozenset[str]) -> frozenset[str]:
-        """Variables that can extend the admissible set ``s``.
+    def extensions(self, s: tuple[str, ...]) -> tuple[str, ...]:
+        """Variables that can extend the admissible set ``s``, in rank order.
 
         Reads the extension sets of the leave-one-out subsets of ``s`` from
         the memo, so every one of them must have been examined first, as
         ``run`` does; their intersection, restricted to variables after the
-        highest-ranked member, bounds the result.
+        last member, bounds the result.
         """
-        members = self._sorted(s)
+        drops = [s[:i] + s[i + 1 :] for i in range(len(s))]
         if not s:
-            candidates = list(self.order)
+            candidates = self.order
         else:
-            upper = frozenset.intersection(*(self.memo[s - {v}] for v in members))
-            later = self.order[self.rank[members[-1]] + 1 :]
-            candidates = [t for t in later if t in upper]
+            upper = frozenset.intersection(*(self.memo[d] for d in drops))
+            later = self.order[self.rank[s[-1]] + 1 :]
+            candidates = tuple(t for t in later if t in upper)
         if len(s) > self.m_ci:
-            result = frozenset(candidates)
+            result = candidates
         else:
             # Every candidate's first test in one batch; the leave-one-out
             # tests stay lazy, since ``all`` stops at the first that fails.
-            first = self.engine.p_values(self.target, [(t, members) for t in candidates])
-            result = frozenset(
+            first = self.engine.p_values(self.target, [(t, s) for t in candidates])
+            result = tuple(
                 t
                 for t, p in zip(candidates, first)
                 if p <= self.alpha
-                and all(
-                    self._dependent(drop, self._sorted((s - {drop}) | {t})) for drop in members
-                )
+                and all(self._dependent(v, d + (t,)) for v, d in zip(s, drops))
             )
-        self.memo[s] = result
+        self.memo[s] = frozenset(result)
         return result
 
     def run(self) -> NeighborhoodFamily:
-        """Expand sets level by level and keep the maximal terminal ones."""
-        terminal: list[frozenset[str]] = []
-        level: list[frozenset[str]] = [frozenset()]
-        seen: set[frozenset[str]] = set()
+        """Expand sets level by level and keep the maximal terminal ones.
+
+        Each set is made once, from the set without its last member, so the
+        levels and the terminal sets, hence the family, come in rank order.
+        """
+        terminal: list[tuple[str, ...]] = []
+        level: list[tuple[str, ...]] = [()]
         while level:
-            next_level: list[frozenset[str]] = []
-            for s in sorted(level, key=lambda s_: tuple(self.rank[v] for v in self._sorted(s_))):
-                assert s not in seen, "a candidate set was scheduled twice"
-                seen.add(s)
+            next_level: list[tuple[str, ...]] = []
+            for s in level:
+                assert s not in self.memo, "a candidate set was scheduled twice"
                 self.expanded += 1
                 if self.expanded > BUDGET:
                     raise BudgetExceeded(
@@ -126,22 +123,17 @@ class ForwardSearch:
                     )
                 ext = self.extensions(s)
                 if ext:
-                    next_level.extend(s | {t} for t in ext)
+                    next_level.extend(s + (t,) for t in ext)
                 else:
                     terminal.append(s)
             level = next_level
-        family = [tuple(self._sorted(s)) for s in _maximal(terminal)]
-        family.sort(key=lambda c: (len(c), tuple(self.rank[v] for v in c)))
-        return NeighborhoodFamily(target=self.target, family=tuple(family))
-
-
-def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
-    """Drop every set that is a proper subset of another set in the list."""
-    kept: list[frozenset[str]] = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s < other for other in kept):
-            kept.append(s)
-    return kept
+        sets = [frozenset(s) for s in terminal]
+        family = tuple(
+            s
+            for i, s in enumerate(terminal)
+            if not any(sets[i] < later for later in sets[i + 1 :])
+        )
+        return NeighborhoodFamily(target=self.target, family=family)
 
 
 def forward_step(

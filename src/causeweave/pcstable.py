@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, check_settings
 from .maximize import best_record
 from .skeleton_orient import (
     Cpdag,
@@ -40,12 +40,12 @@ def pc_stable_skeleton(
     removed at the end of the level if any such test fails to reject
     independence.  Levels stop once no adjacency is large enough or the
     conditioning cap is passed.  The graph's ``sepsets`` hold the record of
-    every removed edge, for :func:`orient` to read.  A repeated variable
-    raises before the first CI test.
+    every removed edge, for :func:`orient` to read.  A repeated variable,
+    ``alpha`` outside (0, 1) or ``m_ci`` below 1 raises before the first CI
+    test.
     """
     variables = checked_variables(variables, None)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_settings(alpha, m_ci)
     adjacency: dict[str, set[str]] = {
         v: set(variables) - {v} for v in variables
     }

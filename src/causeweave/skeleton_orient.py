@@ -26,7 +26,9 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, Pair, pair_key, topological_order
+from .citest import (
+    DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, Pair, check_settings, pair_key, topological_order
+)
 from .dataset import read_json
 from .errors import PriorKnowledgeCycle, UnknownVertex
 from .forward import forward_step
@@ -507,9 +509,11 @@ def learn_structure(
     ``variables`` fixes both the vertex set and the enumeration order used
     by the per-target searches.  The returned graph carries per-edge
     connection p-values and per-non-adjacent-pair separating sets.  A repeated
-    variable or a bad ``prior`` raises before the first CI test.
+    variable, a bad ``prior``, ``alpha`` outside (0, 1) or ``m_ci`` below 1
+    raises before the first CI test.
     """
     variables = checked_variables(variables, prior)
+    check_settings(alpha, m_ci)
     selections: dict[str, NeighborSelection] = {}
     for x in variables:
         family = forward_step(x, variables, engine, alpha=alpha, m_ci=m_ci)

@@ -246,7 +246,7 @@ def reference_p_value(res) -> float:
 def assert_p_values_match_reference(engine, log):
     assert log
     for key in set(log):
-        res = engine.cache.lookup(key)
+        res = engine.cache._store[key]
         assert res.p_value.hex() == reference_p_value(res).hex(), key
 
 

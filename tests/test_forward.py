@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from causeweave import (
@@ -7,6 +10,7 @@ from causeweave import (
     OracleGraph,
     forward_step,
 )
+from causeweave.cli import main
 from causeweave.errors import BudgetExceeded
 from causeweave.forward import ForwardSearch
 from oracle_helpers import (
@@ -28,9 +32,9 @@ def engine_for(table):
 def test_example1_extensions(example1_engine):
     search = ForwardSearch("X", VARS3, example1_engine, alpha=0.05)
     search.run()
-    assert search.memo[frozenset()] == {"Y", "Z"}
-    assert search.memo[frozenset({"Y"})] == frozenset()
-    assert search.memo[frozenset({"Z"})] == frozenset()
+    assert search.memo[()] == {"Y", "Z"}
+    assert search.memo[("Y",)] == frozenset()
+    assert search.memo[("Z",)] == frozenset()
 
 
 def test_example1_family(example1_engine):
@@ -86,9 +90,27 @@ def test_extension_sets_shrink_with_growth(rng):
     search = ForwardSearch("T0", names, engine_for(table), alpha=0.5, m_ci=6)
     search.run()
     for s, ext in search.memo.items():
-        for drop in s:
-            sub = s - {drop}
-            assert ext <= search.memo[sub]
+        for i in range(len(s)):
+            assert ext <= search.memo[s[:i] + s[i + 1 :]]
+
+
+def test_each_set_expanded_once_and_family_in_rank_order(rng):
+    # A set is made only from the set without its last member, so the search
+    # expands as many sets as its memo holds, and the family comes out
+    # sorted by (size, member ranks) with each member tuple in rank order.
+    for trial in range(40):
+        k = int(rng.integers(3, 7))
+        names = [str(v) for v in rng.permutation([f"T{i}" for i in range(k)])]
+        table = random_ptable(names, rng)
+        alpha = float(rng.uniform(0.2, 0.8))
+        m_ci = int(rng.integers(1, k + 1))
+        search = ForwardSearch(names[0], names, engine_for(table), alpha=alpha, m_ci=m_ci)
+        fam = search.run()
+        assert search.expanded == len(search.memo), trial
+        ranks = [[search.rank[v] for v in c] for c in fam.family]
+        assert all(r == sorted(r) for r in ranks), (trial, fam.family)
+        keys = [(len(r), r) for r in ranks]
+        assert keys == sorted(keys), (trial, fam.family)
 
 
 def test_no_repeated_query_within_forward_step(rng):
@@ -160,3 +182,52 @@ def test_budget_exceeded(example1_engine, monkeypatch):
     with pytest.raises(BudgetExceeded, match="more than 2 candidate sets"):
         ForwardSearch("X", VARS3, example1_engine, alpha=0.05).run()
 
+
+BUDGET_NAMES = [f"T{i}" for i in range(8)]
+BUDGET_ALPHA = 0.9
+
+
+@pytest.fixture
+def budget_table():
+    """An 8-variable table whose first target has dozens of admissible sets."""
+    table = random_ptable(BUDGET_NAMES, np.random.default_rng(5))
+    admissible_sets = len(all_admissible_sets(table, BUDGET_ALPHA, "T0", BUDGET_NAMES[1:]))
+    assert admissible_sets > 20
+    return table, admissible_sets
+
+
+def test_budget_exceeded_at_scale(budget_table, monkeypatch):
+    table, admissible_sets = budget_table
+    full = ForwardSearch("T0", BUDGET_NAMES, engine_for(table), alpha=BUDGET_ALPHA, m_ci=8)
+    full.run()
+    assert full.expanded == admissible_sets
+    budget = admissible_sets // 2
+    monkeypatch.setattr("causeweave.forward.BUDGET", budget)
+    search = ForwardSearch("T0", BUDGET_NAMES, engine_for(table), alpha=BUDGET_ALPHA, m_ci=8)
+    with pytest.raises(BudgetExceeded, match=f"^T0: more than {budget} candidate sets"):
+        search.run()
+    assert search.expanded == budget + 1
+
+
+def test_cli_learn_budget_exceeded_exits_1(budget_table, monkeypatch, tmp_path, capsys):
+    table, admissible_sets = budget_table
+    data = tmp_path / "injected.json"
+    data.write_text(json.dumps(
+        [{"x": x, "y": y, "s": s, "p": p} for x, y, s, p in ptable_entries(table)]
+    ))
+    budget = admissible_sets // 2
+    monkeypatch.setattr("causeweave.forward.BUDGET", budget)
+    out = tmp_path / "graph"
+    code = main([
+        "learn", "--data", str(data), "--backend", "injected",
+        "--alpha", str(BUDGET_ALPHA), "--m-ci", "8", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {
+        "type": "BudgetExceeded",
+        "message": f"T0: more than {budget} candidate sets expanded",
+    }}
+    assert not list(tmp_path.glob("graph*"))

@@ -5,6 +5,13 @@ of these learns do not depend on the machine.  A change meant to keep
 every output byte leaves the digests as they are; a change meant to alter
 output updates them and says which and why.
 
+``TRACE_PINS`` holds the digest of each library learn's ordered
+``engine.trace()`` keys, so a change that asks the same queries in another
+order fails here even when the graph and the cached results stay the same.
+The prior only orients, so both prior settings share one trace pin.  A
+change meant to reorder queries (batching them, say) updates these pins
+and says why.
+
 Cases: the example-1 injected fixture and three ``random_dag`` oracle
 graphs, each learned by both algorithms with and without a tier prior,
 plus ``learn --backend injected`` through the CLI on the fixture.
@@ -112,16 +119,30 @@ PINS = {
 }
 
 
+TRACE_PINS = {
+    "example1/proposed": "79fa1d420fcbc3c409bc927c6292c38e101d418ad84863b322db6c6859b48658",
+    "example1/pc-stable": "a42b8eceb8545baec07aad0b2322a41e5184bb9889fa5c0fe6d4197df98a9815",
+    "oracle0/proposed": "5099cd16cfe75b962ce7c3f98fb930b396601c28168eeb6acb035ea8164f8ceb",
+    "oracle0/pc-stable": "d7752c6ac1def33f451a424ecc996d8f0482e9bef027527e6b97e9dbae573ff1",
+    "oracle1/proposed": "f10ef9dc61db0e385d0b03c9ab79c2445d012e98bb8ca536e1f919b3957bc8b3",
+    "oracle1/pc-stable": "3b54120665c5879aa4f89b645b368eb60f21e186bae8932f3b089b4aff776df9",
+    "oracle2/proposed": "f7c18b447ae4bdcd5d1b3993694296d2dca53009e130627ee2182264c00a2017",
+    "oracle2/pc-stable": "2fe1e42624cb1d6c3eecec6f44cecb1f3bf3e07e62ad7c4cb13b178d54fed001",
+}
+
+
 @pytest.mark.parametrize("tiers", [False, True], ids=["no-prior", "tiers"])
 @pytest.mark.parametrize("algorithm", list(LEARNERS))
 @pytest.mark.parametrize("case", CASES)
 def test_learned_graph_bytes_are_pinned(case, algorithm, tiers):
     variables, engine, tier_map = case_inputs(case)
     prior = PriorKnowledge(tiers=tier_map) if tiers else None
-    graph = LEARNERS[algorithm](variables, engine, alpha=0.05, m_ci=3, prior=prior)
+    with engine.trace() as log:
+        graph = LEARNERS[algorithm](variables, engine, alpha=0.05, m_ci=3, prior=prior)
     key = f"{case}/{algorithm}/{'tiers' if tiers else 'no-prior'}"
     assert graph.skeleton_pairs()
     assert {"json": sha(graph.to_json()), "dot": sha(graph.to_dot())} == PINS[key]
+    assert sha(json.dumps(log)) == TRACE_PINS[f"{case}/{algorithm}"]
 
 
 @pytest.mark.parametrize("tiers", [False, True], ids=["no-prior", "tiers"])

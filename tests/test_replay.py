@@ -51,22 +51,22 @@ class OneByOne(CIEngine):
 def plain_extensions(search, s):
     """``ForwardSearch.extensions`` as a loop that asks each candidate's
     first test, then its leave-one-out tests, before the next candidate."""
-    members = search._sorted(s)
+    drops = [s[:i] + s[i + 1 :] for i in range(len(s))]
     if not s:
-        candidates = list(search.order)
+        candidates = search.order
     else:
-        upper = frozenset.intersection(*(search.memo[s - {v}] for v in members))
-        later = search.order[search.rank[members[-1]] + 1 :]
+        upper = frozenset.intersection(*(search.memo[d] for d in drops))
+        later = search.order[search.rank[s[-1]] + 1 :]
         candidates = [t for t in later if t in upper]
     accepted = []
     for t in candidates:
         if len(s) > search.m_ci or (
-            search._dependent(t, members)
-            and all(search._dependent(d, search._sorted((s - {d}) | {t})) for d in members)
+            search._dependent(t, s)
+            and all(search._dependent(v, d + (t,)) for v, d in zip(s, drops))
         ):
             accepted.append(t)
     search.memo[s] = frozenset(accepted)
-    return search.memo[s]
+    return tuple(accepted)
 
 
 def plain_q_value(computer, n, variables, floor=-math.inf):

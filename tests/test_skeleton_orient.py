@@ -250,6 +250,26 @@ def test_repeated_variable_raises_before_any_query(example1_engine, learner):
     assert example1_engine.cache.hits == example1_engine.cache.misses == 0
 
 
+@pytest.mark.parametrize(
+    "settings, match",
+    [pytest.param({"alpha": a}, r"alpha must be in \(0, 1\)", id=f"alpha={a}")
+     for a in (0.0, 1.0, 1.5)]
+    + [pytest.param({"m_ci": m}, "conditioning cap must be >= 1", id=f"m_ci={m}")
+       for m in (0, -1)],
+)
+@pytest.mark.parametrize("learner", [learn_structure, pc_stable, pc_stable_skeleton])
+def test_bad_settings_raise_before_any_query(example1_engine, learner, settings, match):
+    # Both learners refuse the same settings: an unchecked m_ci = -1 would
+    # let PC-stable return the complete graph without asking a test.
+    with example1_engine.trace() as log:
+        with pytest.raises(ValueError, match=match):
+            learner(["X", "Y", "Z"], example1_engine, **settings)
+        with pytest.raises(ValueError, match=match):
+            learner([], example1_engine, **settings)
+    assert log == []
+    assert example1_engine.cache.hits == example1_engine.cache.misses == 0
+
+
 def test_propagation_unshielded_rule():
     # A->B committed, B-C undirected, A-C non-adjacent: forces B->C; same
     # for B-D; C-D has neither a directed path nor an unshielded arrow
