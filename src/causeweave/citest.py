@@ -19,10 +19,11 @@ Four interchangeable backends produce ``CITestResult`` values for queries
 ``CIEngine`` wraps a backend with its own ``CICache`` so no statistical
 computation is repeated for the same canonical query, and offers a trace
 facility so callers can assert that a search never re-asks a query.
-``CIEngine.p_values`` asks a round of queries that share one anchor at
-once: the G-test, Fisher-z and auto backends answer its uncached keys in
-one ``compute_many`` call, bitwise equal to one ``compute`` per key, while
-the oracle and injected backends are asked one by one.
+``CIEngine.ask`` asks a round of canonical keys at once: the G-test,
+Fisher-z and auto backends answer its uncached keys in one ``compute_many``
+call, bitwise equal to one ``compute`` per key, while the oracle and
+injected backends are asked one by one.  A round of one is a ``test``.
+``CIEngine.p_values`` is ``canonical_key`` plus ``ask``.
 """
 
 from __future__ import annotations
@@ -560,7 +561,8 @@ class CIEngine:
     """Memoizing front end over a test backend.
 
     Every query is canonicalized before the cache lookup, so the engine is
-    symmetric in the pair and insensitive to conditioning-set order.  A
+    symmetric in the pair and insensitive to conditioning-set order; only
+    ``ask`` takes keys that its caller built canonical.  A
     trace can be opened to record the canonical key of every query made
     (hit or miss) within a code region.
     """
@@ -584,19 +586,23 @@ class CIEngine:
         return self.test(x, y, s).p_value
 
     def p_values(self, x: str, queries) -> list[float]:
-        """``[p_value(x, y, s) for y, s in queries]``, batched when the
-        backend has ``compute_many``.
+        """``[p_value(x, y, s) for y, s in queries]``, asked as one round:
+        every query is checked and canonicalized first, then ``ask``-ed."""
+        return self.ask([canonical_key(x, y, s) for y, s in queries])
 
-        A backend without it (oracle, injected) is asked exactly those
-        one-by-one ``test`` calls.  Otherwise the keys, trace entries and
-        cache counts are those of the one-by-one calls, and the uncached
-        keys, which may belong to different pairs, go to one
+    def ask(self, keys: list[QueryKey]) -> list[float]:
+        """The p-values of ``keys``, which must be canonical already (as
+        ``canonical_key`` returns them), asked as one round.
+
+        A round of one, or any round on a backend without ``compute_many``
+        (oracle, injected), is one ``test`` per key.  Otherwise the trace
+        entries and cache counts are those of the one-by-one calls, and the
+        uncached keys, which may belong to different pairs, go to one
         ``backend.compute_many(keys)`` in query order.
         """
         compute_many = getattr(self.backend, "compute_many", None)
-        if compute_many is None:
-            return [self.test(x, y, s).p_value for y, s in queries]
-        keys = [canonical_key(x, y, s) for y, s in queries]
+        if compute_many is None or len(keys) == 1:
+            return [self.test(*key).p_value for key in keys]
         if self._trace is not None:
             self._trace.extend(keys)
         found, missing = self.cache.lookup_many(keys)

@@ -237,7 +237,9 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     level indices in schema order; continuous cells must be finite numbers.
     A leading UTF-8 byte-order mark is skipped.  There is no imputation, so
     missingness must be declared as an explicit level upstream.  A file with
-    a header and no data rows is refused.
+    a header and no data rows is refused, and so is a row the CSV reader
+    cannot split, such as one with a field longer than
+    ``csv.field_size_limit()``.
 
     The schema's cells of each row are read once and transposed once, so
     each column is encoded in a single pass (see ``from_raw``).
@@ -253,6 +255,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise RowLengthMismatch("empty CSV: header row required") from None
+        except csv.Error as exc:
+            raise RowLengthMismatch(f"header row: {exc}") from None
         col_pos: dict[str, int] = {}
         for var in schema:
             if header.count(var.name) > 1:
@@ -266,12 +270,16 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
         keep = list(col_pos.values())
         pick = operator.itemgetter(*keep) if len(keep) > 1 else lambda row: [row[p] for p in keep]
         rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise RowLengthMismatch(
-                    f"row {row_no}: {len(row)} cells, header has {len(header)}"
-                )
-            rows.append(pick(row))
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise RowLengthMismatch(
+                        f"row {row_no}: {len(row)} cells, header has {len(header)}"
+                    )
+                rows.append(pick(row))
+        except csv.Error as exc:
+            # A row the reader cannot split (a field over csv.field_size_limit(), say).
+            raise RowLengthMismatch(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise RowLengthMismatch("empty CSV: no data rows")
     cells = list(zip(*rows))

@@ -19,6 +19,12 @@ only ever grows by a variable ranked after its last member, so it is made
 exactly once, from the set without its last member.  Every level then
 comes out in (member ranks) order, and so do the sets that cannot be
 extended; the maximal ones among them form the family, in that order.
+
+A whole level is asked in rounds: first every candidate's test given its
+set, then, round by round, the next leave-one-out test of every candidate
+that passed all of its earlier ones.  Each round is one
+``CIEngine.p_values`` call, so the batching backends answer it in one
+``compute_many``; a round of one is a ``CIEngine.test``.
 """
 
 from __future__ import annotations
@@ -71,49 +77,60 @@ class ForwardSearch:
         self.memo: dict[tuple[str, ...], frozenset[str]] = {}
         self.expanded = 0
 
-    def _dependent(self, other: str, cond) -> bool:
-        return self.engine.p_value(self.target, other, cond) <= self.alpha
+    def extensions(self, level: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+        """The variables that can extend each set of ``level`` (admissible
+        sets of one size), each in rank order.
 
-    def extensions(self, s: tuple[str, ...]) -> tuple[str, ...]:
-        """Variables that can extend the admissible set ``s``, in rank order.
-
-        Reads the extension sets of the leave-one-out subsets of ``s`` from
-        the memo, so every one of them must have been examined first, as
-        ``run`` does; their intersection, restricted to variables after the
-        last member, bounds the result.
+        A set's bound is the intersection of its leave-one-out subsets'
+        extension sets in the memo (so ``run`` examines the previous level
+        first), restricted to variables after its last member.  Round 0
+        asks every candidate's first test; round d asks the d-th
+        leave-one-out test of each candidate that passed every earlier one,
+        as ``all`` would, so the queries are those of a search that asks one
+        candidate at a time.
         """
-        drops = [s[:i] + s[i + 1 :] for i in range(len(s))]
-        if not s:
-            candidates = self.order
-        else:
+        bounds = []
+        for s in level:
+            if not s:
+                bounds.append(self.order)
+                continue
+            drops = (s[:i] + s[i + 1 :] for i in range(len(s)))
             upper = frozenset.intersection(*(self.memo[d] for d in drops))
             later = self.order[self.rank[s[-1]] + 1 :]
-            candidates = tuple(t for t in later if t in upper)
-        if len(s) > self.m_ci:
-            result = candidates
+            bounds.append(tuple(t for t in later if t in upper))
+        size = len(level[0])
+        if size > self.m_ci:
+            results = bounds
         else:
-            # Every candidate's first test in one batch; the leave-one-out
-            # tests stay lazy, since ``all`` stops at the first that fails.
-            first = self.engine.p_values(self.target, [(t, s) for t in candidates])
-            result = tuple(
-                t
-                for t, p in zip(candidates, first)
-                if p <= self.alpha
-                and all(self._dependent(v, d + (t,)) for v, d in zip(s, drops))
-            )
-        self.memo[s] = frozenset(result)
-        return result
+            alive = [(s, t) for s, bound in zip(level, bounds) for t in bound]
+            for d in range(size + 1):
+                if not alive:
+                    break
+                queries = [
+                    (t, s) if d == 0 else (s[d - 1], s[: d - 1] + s[d:] + (t,))
+                    for s, t in alive
+                ]
+                p_values = self.engine.p_values(self.target, queries)
+                alive = [c for c, p in zip(alive, p_values) if p <= self.alpha]
+            accepted: dict[tuple[str, ...], list[str]] = {s: [] for s in level}
+            for s, t in alive:
+                accepted[s].append(t)
+            results = [tuple(accepted[s]) for s in level]
+        for s, result in zip(level, results):
+            self.memo[s] = frozenset(result)
+        return results
 
     def run(self) -> NeighborhoodFamily:
         """Expand sets level by level and keep the maximal terminal ones.
 
         Each set is made once, from the set without its last member, so the
         levels and the terminal sets, hence the family, come in rank order.
+        Every set of a level is counted against the budget before the level
+        is asked.
         """
         terminal: list[tuple[str, ...]] = []
         level: list[tuple[str, ...]] = [()]
         while level:
-            next_level: list[tuple[str, ...]] = []
             for s in level:
                 assert s not in self.memo, "a candidate set was scheduled twice"
                 self.expanded += 1
@@ -121,7 +138,8 @@ class ForwardSearch:
                     raise BudgetExceeded(
                         f"{self.target}: more than {BUDGET} candidate sets expanded"
                     )
-                ext = self.extensions(s)
+            next_level: list[tuple[str, ...]] = []
+            for s, ext in zip(level, self.extensions(level)):
                 if ext:
                     next_level.extend(s + (t,) for t in ext)
                 else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
-from .citest import DEFAULT_MAX_COND, CIEngine
+from .citest import DEFAULT_MAX_COND, CIEngine, pair_key
 from .errors import EmptyFamily
 from .forward import NeighborhoodFamily
 
@@ -45,10 +45,16 @@ class SeparationRecord(NamedTuple):
     witness: Witness
 
 
-def best_record(records) -> SeparationRecord:
-    """The best of ``(p_value, witness)`` pairs, as a record: the largest
-    p-value; on a tie, the smallest witness."""
-    return SeparationRecord(*min(records, key=lambda r: (-r[0], r[1])))
+def best_record(p_values, witnesses) -> SeparationRecord:
+    """The best of the parallel sequences ``p_values`` and ``witnesses``, as
+    a record: the largest p-value; on a tie, the smallest witness (the
+    first of equal ones).  Witnesses are compared only among ties."""
+    best = max(p_values)
+    if p_values.count(best) == 1:
+        i = p_values.index(best)
+    else:
+        i = min((w, i) for i, (p, w) in enumerate(zip(p_values, witnesses)) if p == best)[1]
+    return SeparationRecord(p_values[i], witnesses[i])
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,11 @@ class SepComputer:
 
     ``score(other, n)`` is the maximum, over the subsets of ``n`` with at
     most ``m_ci`` members, of the p-value of ``anchor`` against ``other``
-    given the subset, as the :func:`best_record` of its (p-value, subset)
-    pairs.  The p-value of each (other, subset) is asked of the engine at
+    given the subset, as the :func:`best_record` of its p-values and
+    subsets.  The p-value of each (other, subset) is asked of the engine at
     most once per computer: ``scores(others, n)`` asks for all of its
     (other, subset) pairs missing from the memo in a single
-    ``CIEngine.p_values`` batch.
+    ``CIEngine.ask`` round.
     """
 
     def __init__(self, anchor: str, engine: CIEngine, m_ci: int = DEFAULT_MAX_COND):
@@ -89,22 +95,30 @@ class SepComputer:
         return self.scores([other], n)[0]
 
     def scores(self, others, n) -> list[SeparationRecord]:
-        """``[score(other, n) for other in others]``, asked as one batch."""
+        """``[score(other, n) for other in others]``, asked as one round.
+
+        The anchor and each other stay outside ``n``, and the subsets come
+        sorted from the sorted ``n``, so each key is built canonical and
+        goes straight to ``CIEngine.ask``."""
         n = sorted(set(n))
         sizes = range(min(len(n), self.m_ci) + 1)
         subsets = [sub for size in sizes for sub in combinations(n, size)]
-        queries = []
+        keys, slots = [], []
         for other in others:
             if other == self.anchor or other in n or self.anchor in n:
                 raise ValueError(
                     f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
                 )
             memo = self._p.setdefault(other, {})
-            queries += [(other, sub) for sub in subsets if sub not in memo]
-        for (other, sub), p in zip(queries, self.engine.p_values(self.anchor, queries)):
-            self._p[other][sub] = p
+            x, y = pair_key(self.anchor, other)
+            for sub in subsets:
+                if sub not in memo:
+                    keys.append((x, y, sub))
+                    slots.append((memo, sub))
+        for (memo, sub), p in zip(slots, self.engine.ask(keys)):
+            memo[sub] = p
         return [
-            best_record(zip(map(self._p[other].__getitem__, subsets), subsets))
+            best_record(list(map(self._p[other].__getitem__, subsets)), subsets)
             for other in others
         ]
 

@@ -128,6 +128,8 @@ def make_discrete_net(
     Vertices are placed in a random order; each picks a uniform number of
     parents (up to ``max_parents``) among its predecessors.
     """
+    if max_parents < 0:
+        raise ValueError(f"max_parents must be >= 0, got {max_parents}")
     if levels < 2:
         raise ValueError("discrete variables need at least two levels")
     if k < 1:

@@ -389,8 +389,8 @@ def compute_sepsets(
     for i, x in enumerate(verts):
         for y in verts[i + 1 :]:
             if not skeleton.has_edge(x, y):
-                pair = (selections[x].separation[y], selections[y].separation[x])
-                out[pair_key(x, y)] = best_record(pair)
+                a, b = selections[x].separation[y], selections[y].separation[x]
+                out[pair_key(x, y)] = best_record((a.p_value, b.p_value), (a.witness, b.witness))
     return out
 
 

@@ -488,3 +488,30 @@ def test_p_values_loops_over_a_backend_without_compute_many():
     with pytest.raises(UninjectedQuery, match="'W'"):
         engine.p_values("Y", [("Z", ()), ("Z", ("W",)), ("Z", ("V",))])
     assert ("Y", "Z", ()) in engine.cache._store
+
+
+@pytest.mark.parametrize("kind", ["auto", "gtest", "injected"])
+def test_a_round_of_one_is_a_test_and_a_wider_round_is_not(rng, monkeypatch, kind):
+    """A one-query ``p_values`` or ``ask`` enters ``CIEngine.test``, as
+    ``compute_many`` sends a lone key to ``compute``; a wider round on a
+    backend with ``compute_many`` does not, and a backend without it is
+    asked one ``test`` per key."""
+    if kind == "injected":
+        engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
+        one, wide = ("X", "Y", ()), [("X", "Y", ("Z",)), ("X", "Z", ()), ("Y", "Z", ())]
+    else:
+        engine = CIEngine(make_backend(edge_case_data(rng, 200), kind))
+        one, wide = ("a", "b", ()), [("a", "b", ("c",)), ("a", "c", ()), ("b", "c", ("d",))]
+    entered = []
+    test = CIEngine.test
+    monkeypatch.setattr(
+        CIEngine, "test", lambda self, *query: entered.append(query) or test(self, *query)
+    )
+    x, y, s = one
+    assert engine.p_values(x, [(y, s)]) == engine.ask([one])
+    assert entered == [one, one]
+    entered.clear()
+    got = engine.ask(wide)
+    assert got == [test(engine, *key).p_value for key in wide]
+    assert entered == (wide if kind == "injected" else [])
+    assert engine.ask([]) == []

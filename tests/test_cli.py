@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -220,6 +221,17 @@ def test_simulate_no_samples_exits_2(capsys, kind):
     assert code == 2 and stdout == ""
     assert json.loads(stderr) == {
         "error": {"type": "ValueError", "message": "need at least one sample"}
+    }
+
+
+def test_simulate_negative_max_parents_exits_2(capsys):
+    code, stdout, stderr = run(
+        capsys, "simulate", "--kind", "categorical", "--k", "4", "--n", "50", "--reps", "1",
+        "--max-parents", "-1",
+    )
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": {"type": "ValueError", "message": "max_parents must be >= 0, got -1"}
     }
 
 
@@ -554,6 +566,34 @@ def test_score_graph_vertex_missing_from_the_data_exits_2(tmp_path, capsys, grap
     )
     assert_input_error(code, stdout, stderr, "MissingColumn", out)
     assert "'P'" in json.loads(stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("where", ["header row", "row 3"])
+@pytest.mark.parametrize("command", ["learn", "score"])
+def test_csv_field_over_the_reader_limit_exits_2(tmp_path, capsys, command, where):
+    big = "x" * (csv.field_size_limit() + 1)
+    lines = ["a,b,note"] + [f"{i % 2},{i % 2}," for i in range(40)]
+    if where == "header row":
+        lines[0] += big
+    else:
+        lines[3] += big
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(lines) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+    out = tmp_path / "out.json"
+    if command == "score":
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b"]}))
+        argv = ["score", str(graph)]
+    else:
+        argv = ["learn", "--format", "json"]
+    code, stdout, stderr = run(
+        capsys, *argv, "--data", str(data), "--schema", str(schema), "--out", str(out)
+    )
+    assert_input_error(code, stdout, stderr, "RowLengthMismatch", out)
+    message = json.loads(stderr)["error"]["message"]
+    assert message.startswith(f"{where}: ") and "field larger than field limit" in message
 
 
 @pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])

@@ -2,6 +2,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causeweave import (
     CIEngine,
@@ -15,7 +17,7 @@ from causeweave import (
 from causeweave.citest import canonical_key
 from causeweave.errors import EmptyFamily
 from causeweave.forward import NeighborhoodFamily
-from causeweave.maximize import SepComputer
+from causeweave.maximize import SepComputer, best_record
 from oracle_helpers import (
     exhaustive_q,
     exhaustive_sep,
@@ -285,3 +287,25 @@ def test_score_asks_each_capped_subset_exactly_once(rng):
             comp.score("T1", n2)
         assert len(second) == len(set(second))
         assert set(second) == keys(n2, m_ci) - keys(n, m_ci)
+
+
+# Few p-values and short witnesses over few names, so that most lists tie.
+RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.lists(st.sampled_from("ABC"), max_size=3).map(tuple),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(RECORDS)
+@example([(0.5, ("B",)), (0.5, ("A", "B"))])
+@example([(0.5, ("A",)), (0.7, ("B", "C")), (0.7, ("B",))])
+@settings(max_examples=300, deadline=None)
+def test_best_record_is_the_largest_p_value_then_the_smallest_witness(records):
+    p_values, witnesses = (list(column) for column in zip(*records))
+    expected = min(records, key=lambda r: (-r[0], r[1]))
+    assert best_record(p_values, witnesses) == expected
+    assert best_record(tuple(p_values), tuple(witnesses)) == expected

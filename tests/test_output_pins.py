@@ -10,7 +10,11 @@ output updates them and says which and why.
 order fails here even when the graph and the cached results stay the same.
 The prior only orients, so both prior settings share one trace pin.  A
 change meant to reorder queries (batching them, say) updates these pins
-and says why.
+and says why.  ``SORTED_TRACE_PINS`` holds the digest of the same keys
+sorted, so it stays as it is when only the order moves: asking the
+forward step's levels in rounds changed the ordered pins of
+``oracle1/proposed`` and ``oracle2/proposed`` and none of the sorted
+ones (in the other searches, the rounds ask in the old order).
 
 Cases: the example-1 injected fixture and three ``random_dag`` oracle
 graphs, each learned by both algorithms with and without a tier prior,
@@ -124,10 +128,22 @@ TRACE_PINS = {
     "example1/pc-stable": "a42b8eceb8545baec07aad0b2322a41e5184bb9889fa5c0fe6d4197df98a9815",
     "oracle0/proposed": "5099cd16cfe75b962ce7c3f98fb930b396601c28168eeb6acb035ea8164f8ceb",
     "oracle0/pc-stable": "d7752c6ac1def33f451a424ecc996d8f0482e9bef027527e6b97e9dbae573ff1",
-    "oracle1/proposed": "f10ef9dc61db0e385d0b03c9ab79c2445d012e98bb8ca536e1f919b3957bc8b3",
+    "oracle1/proposed": "34234c2cfaa7a4bfc47b2df27abdad1b92da2fbac2516ab3492197d51c8d877b",
     "oracle1/pc-stable": "3b54120665c5879aa4f89b645b368eb60f21e186bae8932f3b089b4aff776df9",
-    "oracle2/proposed": "f7c18b447ae4bdcd5d1b3993694296d2dca53009e130627ee2182264c00a2017",
+    "oracle2/proposed": "294a3fb0ec2ab2cf23cbac74d2f59696d6bc7be4b697c3ab686a9096f830c3e7",
     "oracle2/pc-stable": "2fe1e42624cb1d6c3eecec6f44cecb1f3bf3e07e62ad7c4cb13b178d54fed001",
+}
+
+
+SORTED_TRACE_PINS = {
+    "example1/proposed": "8ecf151df07a536568afb6824b37b3d573f778ed728d61a5dce648516a9d16fe",
+    "example1/pc-stable": "953428ee9b507d5b1b77ef932baaf536e7d78b4c97c0d804584699460b1ae043",
+    "oracle0/proposed": "8de299101c38fc52e0b0415928c7edfd27acccf3347fbe32586212905df14211",
+    "oracle0/pc-stable": "d7752c6ac1def33f451a424ecc996d8f0482e9bef027527e6b97e9dbae573ff1",
+    "oracle1/proposed": "8fafd73cf98fdba202608d9be6ae9a9401f28829c6c976474bd27efbbb5f64f3",
+    "oracle1/pc-stable": "affe2a9c05f27afc80bb8fa18d1425bb1eadec9e4911562c8e99cbb5ebd0a7b2",
+    "oracle2/proposed": "2293868af019cd834832a14b89ca832c70e2bf1279c25efa06e3aaf281cc5e72",
+    "oracle2/pc-stable": "a44beff97146a49b7317b290b5c08a521875141c57fbcc9975ccd02ac77858ec",
 }
 
 
@@ -142,6 +158,7 @@ def test_learned_graph_bytes_are_pinned(case, algorithm, tiers):
     key = f"{case}/{algorithm}/{'tiers' if tiers else 'no-prior'}"
     assert graph.skeleton_pairs()
     assert {"json": sha(graph.to_json()), "dot": sha(graph.to_dot())} == PINS[key]
+    assert sha(json.dumps(sorted(log))) == SORTED_TRACE_PINS[f"{case}/{algorithm}"]
     assert sha(json.dumps(log)) == TRACE_PINS[f"{case}/{algorithm}"]
 
 

@@ -2,10 +2,12 @@
 and the bounded selection scan against the full scan.
 
 A full ``learn_structure`` runs twice on fixed seeds and equal backends,
-once on a ``CIEngine`` and once on a reference engine whose ``p_values``
-is the one-by-one loop over ``test``, with the forward step testing one
-candidate at a time (``plain_extensions``) and selection scoring one other
-variable at a time (``plain_q_value``).  The two engine caches must hold
+once on a ``CIEngine`` and once on a reference engine whose ``ask`` (so
+also its ``p_values``) is the one-by-one loop over ``test``, with the
+forward step testing one set, and one candidate, at a time
+(``plain_extensions``) and selection scoring one other variable at a time
+(``plain_q_value``).  The forward step alone is replayed the same way, so
+that its memo and family are compared too.  The two engine caches must hold
 the same queries with bitwise-equal results and equal hit and miss counts,
 and the two graphs must serialize alike.
 
@@ -42,31 +44,38 @@ from oracle_helpers import (
 
 
 class OneByOne(CIEngine):
-    """An engine that asks each query of a batch through ``test``."""
+    """An engine that asks each key of a round through ``test``."""
 
-    def p_values(self, x, queries):
-        return [self.test(x, y, s).p_value for y, s in queries]
+    def ask(self, keys):
+        return [self.test(*key).p_value for key in keys]
 
 
-def plain_extensions(search, s):
-    """``ForwardSearch.extensions`` as a loop that asks each candidate's
-    first test, then its leave-one-out tests, before the next candidate."""
-    drops = [s[:i] + s[i + 1 :] for i in range(len(s))]
-    if not s:
-        candidates = search.order
-    else:
-        upper = frozenset.intersection(*(search.memo[d] for d in drops))
-        later = search.order[search.rank[s[-1]] + 1 :]
-        candidates = [t for t in later if t in upper]
-    accepted = []
-    for t in candidates:
-        if len(s) > search.m_ci or (
-            search._dependent(t, s)
-            and all(search._dependent(v, d + (t,)) for v, d in zip(s, drops))
-        ):
-            accepted.append(t)
-    search.memo[s] = frozenset(accepted)
-    return tuple(accepted)
+def plain_extensions(search, level):
+    """``ForwardSearch.extensions`` as a loop over the level's sets that, for
+    each set, asks each candidate's first test, then its leave-one-out
+    tests, before the next candidate."""
+
+    def dependent(other, cond):
+        return search.engine.p_value(search.target, other, cond) <= search.alpha
+
+    results = []
+    for s in level:
+        drops = [s[:i] + s[i + 1 :] for i in range(len(s))]
+        if not s:
+            candidates = search.order
+        else:
+            upper = frozenset.intersection(*(search.memo[d] for d in drops))
+            later = search.order[search.rank[s[-1]] + 1 :]
+            candidates = [t for t in later if t in upper]
+        accepted = []
+        for t in candidates:
+            if len(s) > search.m_ci or (
+                dependent(t, s) and all(dependent(v, d + (t,)) for v, d in zip(s, drops))
+            ):
+                accepted.append(t)
+        search.memo[s] = frozenset(accepted)
+        results.append(tuple(accepted))
+    return results
 
 
 def plain_q_value(computer, n, variables, floor=-math.inf):
@@ -198,6 +207,25 @@ def test_batched_queries_replay_bitwise(kind, seed):
     batched, reference, graph, expected = replay(kind, seed)
     assert_replayed(batched, reference, graph, expected)
     assert len(batched.cache) > 150
+
+
+@pytest.mark.parametrize("kind", ["gtest", "fisherz", "auto", "injected", "oracle"])
+def test_forward_rounds_replay_the_one_by_one_search(kind):
+    names, batched, reference = engines(kind, 1)
+    searches = [ForwardSearch(x, names, batched, alpha=0.2) for x in names]
+    families = [search.run() for search in searches]
+    with mock.patch.object(ForwardSearch, "extensions", plain_extensions):
+        expected = [ForwardSearch(x, names, reference, alpha=0.2) for x in names]
+        expected_families = [search.run() for search in expected]
+    assert families == expected_families
+    assert [s.memo for s in searches] == [s.memo for s in expected]
+    assert [s.expanded for s in searches] == [s.expanded for s in expected]
+    assert_same_dumps(cache_dump(batched), cache_dump(reference))
+    assert (batched.cache.hits, batched.cache.misses) == (
+        reference.cache.hits, reference.cache.misses
+    )
+    # Some searches grow sets of two or more, so leave-one-out rounds ran.
+    assert any(len(s) >= 2 for search in searches for s in search.memo)
 
 
 def test_wide_fisherz_replay_stacks_fifty_and_more(monkeypatch):

@@ -204,3 +204,9 @@ def test_skeleton_rates_degenerate_conventions():
     no_edges = OracleGraph(vertices=("a", "b"), edges=frozenset())
     tpr, tnr = skeleton_rates(no_edges, cpdag_with("ab", []))
     assert tpr == 1.0 and tnr == 1.0
+
+
+def test_discrete_net_refuses_negative_max_parents():
+    with pytest.raises(ValueError, match=r"^max_parents must be >= 0, got -1$"):
+        make_discrete_net(k=3, max_parents=-1, levels=2, seed=0)
+    assert make_discrete_net(k=3, max_parents=0, levels=2, seed=0).graph.edges == frozenset()
