@@ -309,17 +309,19 @@ class FisherZBackend:
         if scale <= 0:
             return [CITestResult(1.0, 0.0, 0, self.name, low_power=True) for _ in keys]
         precs = np.linalg.pinv(self.corr[idx[:, :, None], idx[:, None, :]])
-        results = []
-        # The precision entries of x and y as Python floats: the same IEEE
-        # arithmetic as on NumPy scalars, without their per-element overhead.
-        for xx, yy, xy in precs[:, [0, 1, 0], [0, 1, 1]].tolist():
-            denom = xx * yy
-            r = -xy / math.sqrt(denom) if denom > 0 else 0.0
-            r = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
-            statistic = math.sqrt(scale) * math.atanh(r)
-            p_value = float(2.0 * special.ndtr(-abs(statistic)))
-            results.append(CITestResult(p_value, statistic, 0, self.name))
-        return results
+        denom = precs[:, 0, 0] * precs[:, 1, 1]
+        positive = denom > 0
+        r = -precs[:, 0, 1] / np.sqrt(np.where(positive, denom, 1.0))
+        r[~positive] = 0.0
+        r = np.minimum(np.maximum(r, -1.0 + 1e-15), 1.0 - 1e-15)
+        # math.atanh per element: NumPy's arctanh may take a vectorised path
+        # that differs from it in the last bit.
+        statistics = math.sqrt(scale) * np.array([math.atanh(v) for v in r.tolist()])
+        p_values = 2.0 * special.ndtr(-np.abs(statistics))
+        return [
+            CITestResult(p_value, statistic, 0, self.name)
+            for p_value, statistic in zip(p_values.tolist(), statistics.tolist())
+        ]
 
     def _block(self, x: str, y: str, s: tuple[str, ...]) -> list[int]:
         """Correlation-matrix rows of ``x``, ``y`` and then ``s``."""

@@ -2,12 +2,13 @@
 
 Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
-marked read-only.  Every input file is read here: ``load_csv`` streams
+marked read-only.  Every input file is read here: ``load_csv`` reads
 the CSV and ``read_input`` reads the rest.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import operator
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     MissingColumn,
@@ -30,6 +32,13 @@ VALID_KINDS = DISCRETE_KINDS + ("continuous",)
 QUINTILE_BINS = 5
 # The level ``cap_levels`` merges rare levels into.
 OTHER_LABEL = "Others"
+
+_NO_DATA_ROWS = "empty CSV: no data rows"
+# The byte class of the plain CSV tokeniser: True for a byte that ends a
+# field (a comma or a line feed).
+_FIELD_END = np.zeros(256, dtype=bool)
+_FIELD_END[[ord(","), ord("\n")]] = True
+_LF, _CR = ord("\n"), ord("\r")
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,10 @@ class Dataset:
         A continuous column is first cut at its quantiles into at most
         ``QUINTILE_BINS`` bins, and tied edges collapse.  Either kind is
         then renumbered to the levels some row has: a declared level or a
-        bin no row falls in is no level.  Computed once per column and
-        kept, read-only like ``columns``, for every later caller.
+        bin no row falls in is no level.  The renumbering counts rows per
+        level rather than sorting them, so each level's code is the number
+        of observed levels below it.  Computed once per column and kept,
+        read-only like ``columns``, for every later caller.
         """
         if name not in self._codes:
             var = self.variable(name)
@@ -120,9 +131,11 @@ class Dataset:
             if not var.is_discrete:
                 qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
                 col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
-            levels, codes = np.unique(col, return_inverse=True)
+            observed = np.bincount(col) > 0
+            renumber = np.cumsum(observed, dtype=np.intp) - 1
+            codes = renumber[col]
             codes.setflags(write=False)
-            self._codes[name] = (codes, len(levels))
+            self._codes[name] = (codes, int(np.count_nonzero(observed)))
         return self._codes[name]
 
 
@@ -184,25 +197,27 @@ def from_raw(schema: tuple[VariableSchema, ...], raw_columns: dict[str, list]) -
         cells = raw_columns[var.name]
         if n is None:
             n = len(cells)
-        if var.is_discrete:
-            index = {label: i for i, label in enumerate(var.levels)}
-            try:
-                enc = np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells))
-            except (KeyError, TypeError):
-                enc = _encode_levels(var, index, cells)
-        else:
-            try:
-                enc = np.fromiter(map(float, cells), np.float64, count=len(cells))
-            except (TypeError, ValueError):
-                enc = _encode_numbers(var, cells)
-            bad = np.flatnonzero(~np.isfinite(enc))
-            if bad.size:
-                i = int(bad[0])
-                raise UnknownLevel(
-                    f"{var.name}: value {cells[i]!r} (row {i + 1}) is not finite"
-                )
-        columns[var.name] = enc
+        columns[var.name] = _encode_column(var, cells)
     return Dataset(schema=schema, columns=columns, n=n or 0)
+
+
+def _encode_column(var: VariableSchema, cells) -> np.ndarray:
+    """One column of ``from_raw``."""
+    if var.is_discrete:
+        index = {label: i for i, label in enumerate(var.levels)}
+        try:
+            return np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells))
+        except (KeyError, TypeError):
+            return _encode_levels(var, index, cells)
+    try:
+        enc = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except (TypeError, ValueError):
+        enc = _encode_numbers(var, cells)
+    bad = np.flatnonzero(~np.isfinite(enc))
+    if bad.size:
+        i = int(bad[0])
+        raise UnknownLevel(f"{var.name}: value {cells[i]!r} (row {i + 1}) is not finite")
+    return enc
 
 
 def _encode_levels(var: VariableSchema, index: dict[str, int], cells) -> np.ndarray:
@@ -241,14 +256,45 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     cannot split, such as one with a field longer than
     ``csv.field_size_limit()``.
 
-    The schema's cells of each row are read once and transposed once, so
-    each column is encoded in a single pass (see ``from_raw``).
+    A plain file (see ``_PlainCsv.parse``) is tokenised over its bytes with
+    NumPy; any other file, or a schema with a NUL in a level, goes through
+    ``csv.reader``.  Both give the same dataset or raise the same error.
 
     Raises
     ------
     MissingColumn, RowLengthMismatch, SchemaError, UnknownLevel
     """
     schema = load_schema(schema_path)
+    raw = Path(path).read_bytes()
+    nul_level = any("\0" in label for var in schema for label in var.levels)
+    plain = None if nul_level else _PlainCsv.parse(raw)
+    del raw
+    if plain is None:
+        return _read_csv(path, schema)
+    positions = _header_positions(plain.header, schema)
+    n = plain.data_rows()
+    columns = {var.name: _encode_plain(var, plain.column(positions[var.name])) for var in schema}
+    # As on the reader path, where from_raw counts the rows of the first column.
+    return Dataset(schema=schema, columns=columns, n=n if columns else 0)
+
+
+def _header_positions(header: list[str], schema: tuple[VariableSchema, ...]) -> dict[str, int]:
+    """The header position of each schema variable; each must appear once."""
+    positions: dict[str, int] = {}
+    for var in schema:
+        if header.count(var.name) > 1:
+            raise SchemaError(f"CSV header repeats column {var.name!r}")
+        try:
+            positions[var.name] = header.index(var.name)
+        except ValueError:
+            raise MissingColumn(f"CSV header lacks column {var.name!r}") from None
+    return positions
+
+
+def _read_csv(path: str | Path, schema: tuple[VariableSchema, ...]) -> Dataset:
+    """``load_csv`` through ``csv.reader``: the schema's cells of each row
+    are read once and transposed once, so each column is encoded in a
+    single pass (see ``from_raw``)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -257,14 +303,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
             raise RowLengthMismatch("empty CSV: header row required") from None
         except csv.Error as exc:
             raise RowLengthMismatch(f"header row: {exc}") from None
-        col_pos: dict[str, int] = {}
-        for var in schema:
-            if header.count(var.name) > 1:
-                raise SchemaError(f"CSV header repeats column {var.name!r}")
-            try:
-                col_pos[var.name] = header.index(var.name)
-            except ValueError:
-                raise MissingColumn(f"CSV header lacks column {var.name!r}") from None
+        col_pos = _header_positions(header, schema)
         # Each row keeps only the schema's cells (itemgetter of a single
         # position would return the cell itself, not a sequence of one).
         keep = list(col_pos.values())
@@ -273,18 +312,133 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
         try:
             for row_no, row in enumerate(reader, start=1):
                 if len(row) != len(header):
-                    raise RowLengthMismatch(
-                        f"row {row_no}: {len(row)} cells, header has {len(header)}"
-                    )
+                    raise RowLengthMismatch(_row_length_message(row_no, len(row), len(header)))
                 rows.append(pick(row))
         except csv.Error as exc:
             # A row the reader cannot split (a field over csv.field_size_limit(), say).
             raise RowLengthMismatch(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
-        raise RowLengthMismatch("empty CSV: no data rows")
+        raise RowLengthMismatch(_NO_DATA_ROWS)
     cells = list(zip(*rows))
     del rows  # the cells stay referenced once, by column
     return from_raw(schema, dict(zip(col_pos, cells)))
+
+
+def _row_length_message(row_no: int, cells: int, header: int) -> str:
+    return f"row {row_no}: {cells} cells, header has {header}"
+
+
+@dataclass(frozen=True)
+class _PlainCsv:
+    """A plain CSV's bytes, split into fields with NumPy.
+
+    ``ends`` holds the position of every field's end (its comma or line
+    feed) in file order, and ``lines`` the index in ``ends`` of each line's
+    last field; the header is line 0.  ``buf`` is the file after any
+    byte-order mark, zero-padded so that a window of any field's width fits
+    after every field start.  ``crlf`` is set when some line ends in CRLF.
+    """
+
+    header: list[str]
+    buf: np.ndarray
+    ends: np.ndarray
+    lines: np.ndarray
+    crlf: bool
+
+    @classmethod
+    def parse(cls, raw: bytes) -> "_PlainCsv | None":
+        """The fields of ``raw``, or None unless it is plain: valid UTF-8
+        with no ``"`` or NUL byte, no CR outside a CRLF line end, no blank
+        line and no line longer than ``csv.field_size_limit()``.  Such a
+        file is split at every comma and line end, as ``csv.reader`` splits
+        it; a missing final line end is implied."""
+        start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+        crlf = b"\r" in raw
+        if (
+            len(raw) == start
+            or b'"' in raw
+            or b"\0" in raw
+            or crlf and raw.count(b"\r") != raw.count(b"\r\n")
+        ):
+            return None
+        if not raw.isascii():
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        body = np.frombuffer(raw, dtype=np.uint8, offset=start)
+        size = len(body)
+        # A virtual line end after an unterminated last line is position size.
+        ends = np.flatnonzero(_FIELD_END[body]).astype(np.int32 if size < 2**31 - 1 else np.int64)
+        lines = np.flatnonzero(body[ends] == _LF)
+        if body[-1] != _LF:
+            ends = np.append(ends, np.array([size], dtype=ends.dtype))
+            lines = np.append(lines, len(ends) - 1)
+        line_ends = ends[lines]
+        lengths = np.diff(line_ends, prepend=-1) - 1
+        if crlf:
+            lengths -= body[line_ends - 1] == _CR
+        widest = int(lengths.max())
+        if lengths.min() == 0 or widest > csv.field_size_limit():
+            return None
+        header = bytes(body[: lengths[0]]).decode("utf-8").split(",")
+        buf = np.zeros(size + widest, dtype=np.uint8)
+        buf[:size] = body
+        return cls(header, buf, ends, lines, crlf)
+
+    def data_rows(self) -> int:
+        """The number of data rows, once every row is checked to have as
+        many fields as the header; raises ``RowLengthMismatch`` for the
+        first row that does not, or when there is no data row."""
+        k, n_lines = len(self.header), len(self.lines)
+        bad = np.flatnonzero(self.lines != np.arange(k - 1, k * n_lines, k))
+        if bad.size:
+            row = int(bad[0])
+            cells = int(self.lines[row] - self.lines[row - 1])
+            raise RowLengthMismatch(_row_length_message(row, cells, k))
+        if n_lines == 1:
+            raise RowLengthMismatch(_NO_DATA_ROWS)
+        return n_lines - 1
+
+    def column(self, p: int) -> np.ndarray:
+        """The data rows' fields at header position ``p``, as a fixed-width
+        bytes (``S``) array; call after ``data_rows``."""
+        grid = self.ends.reshape(len(self.lines), len(self.header))
+        stop = grid[1:, p]
+        if p == grid.shape[1] - 1 and self.crlf:
+            stop = stop - (self.buf[stop - 1] == _CR)
+        start = (grid[1:, p - 1] if p else grid[:-1, -1]) + 1
+        lengths = stop - start
+        width = max(int(lengths.max()), 1)
+        fields = sliding_window_view(self.buf, width)[start]
+        fields *= np.arange(width) < lengths[:, None]
+        return fields.view(f"S{width}").ravel()
+
+
+def _encode_plain(var: VariableSchema, cells: np.ndarray) -> np.ndarray:
+    """One column of ``from_raw`` from the UTF-8 bytes of its cells.
+
+    Discrete cells are found by ``searchsorted`` among the sorted bytes of
+    the declared levels (none holds a NUL, which an ``S`` array would drop)
+    and continuous ones are read by ``float`` from their bytes.  A column
+    with a miss, a parse failure or a non-finite value is encoded from its
+    decoded ``str`` cells by ``from_raw``'s own code, which raises the same
+    error as the ``csv.reader`` path."""
+    if var.is_discrete:
+        labels = np.array([label.encode("utf-8", "surrogatepass") for label in var.levels])
+        order = np.argsort(labels).astype(np.int64)
+        ordered = labels[order]
+        at = np.minimum(np.searchsorted(ordered, cells), len(ordered) - 1)
+        if (ordered[at] == cells).all():
+            return order[at]
+    else:
+        try:
+            enc = np.fromiter(map(float, cells.tolist()), np.float64, count=len(cells))
+        except ValueError:
+            enc = None
+        if enc is not None and np.isfinite(enc).all():
+            return enc
+    return _encode_column(var, [cell.decode("utf-8") for cell in cells.tolist()])
 
 
 def filter_dominant(data: Dataset, threshold: float = 0.99) -> Dataset:

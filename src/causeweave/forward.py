@@ -145,12 +145,12 @@ class ForwardSearch:
                 else:
                     terminal.append(s)
             level = next_level
-        sets = [frozenset(s) for s in terminal]
-        family = tuple(
-            s
-            for i, s in enumerate(terminal)
-            if not any(sets[i] < later for later in sets[i + 1 :])
-        )
+        # A terminal set is maximal unless it lies inside a set examined one
+        # level up: the memo holds every examined set, and every subset of
+        # one, so a terminal superset implies such a set, and such a set
+        # (admissible) lies inside a terminal one.
+        below = {s[:i] + s[i + 1 :] for s in self.memo for i in range(len(s))}
+        family = tuple(s for s in terminal if s not in below)
         return NeighborhoodFamily(target=self.target, family=family)
 
 

@@ -103,6 +103,23 @@ class SepComputer:
         n = sorted(set(n))
         sizes = range(min(len(n), self.m_ci) + 1)
         subsets = [sub for size in sizes for sub in combinations(n, size)]
+        self._ask(others, n, subsets)
+        return [
+            best_record(list(map(self._p[other].__getitem__, subsets)), subsets)
+            for other in others
+        ]
+
+    def marginals(self, others) -> list[float]:
+        """The marginal p-value of the anchor against each of ``others``,
+        the p-values of ``scores(others, ())``: read from the memo, and the
+        missing ones asked as one round."""
+        self._ask(others, [], [()])
+        return [self._p[other][()] for other in others]
+
+    def _ask(self, others, n: list[str], subsets: list[Witness]) -> None:
+        """Put the p-value of every (other, subset) into the memo, asking
+        the missing ones as one ``CIEngine.ask`` round in (other, subset)
+        order; ``subsets`` are the sorted subsets of the sorted ``n``."""
         keys, slots = [], []
         for other in others:
             if other == self.anchor or other in n or self.anchor in n:
@@ -117,10 +134,6 @@ class SepComputer:
                     slots.append((memo, sub))
         for (memo, sub), p in zip(slots, self.engine.ask(keys)):
             memo[sub] = p
-        return [
-            best_record(list(map(self._p[other].__getitem__, subsets)), subsets)
-            for other in others
-        ]
 
 
 def q_value(
@@ -147,7 +160,7 @@ def q_value(
     others = sorted(set(variables) - n - {x})
     if not others:
         return math.inf
-    marginals = [record.p_value for record in computer.scores(others, ())]
+    marginals = computer.marginals(others)
     (_, first), *rest = sorted(zip(marginals, others))
     q = computer.score(first, n).p_value
     if q <= floor:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from causeweave.citest import BACKEND_FISHERZ, BACKEND_GTEST, CITestResult, OracleGraph
+from causeweave.dataset import QUINTILE_BINS
 
 
 def all_subsets(items, max_size=None):
@@ -274,6 +275,17 @@ def decode(data) -> dict[str, list]:
         else [float(v) for v in data.columns[var.name]]
         for var in data.schema
     }
+
+
+def reference_codes(data, name) -> tuple[np.ndarray, int]:
+    """``Dataset.codes`` by sorting: the column, cut at its quantiles when
+    continuous, renumbered by ``np.unique(..., return_inverse=True)``."""
+    col = data.columns[name]
+    if not data.is_discrete(name):
+        qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
+        col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
+    levels, codes = np.unique(col, return_inverse=True)
+    return codes, len(levels)
 
 
 # -- differential replay -------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import shutil
@@ -617,6 +618,51 @@ def test_csv_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, capsys, al
         assert code == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "pc-stable"])
+def test_learn_reads_plain_crlf_and_quoted_csv_alike(tmp_path, capsys, algorithm):
+    # The plain and CRLF files take the byte tokeniser, the quoted one csv.reader.
+    rng = np.random.default_rng(11)
+    n = 400
+    a = rng.standard_normal(n)
+    b = a + rng.standard_normal(n)
+    c = b + rng.standard_normal(n)
+    d = c - a + rng.standard_normal(n)
+    levels = {"b": ["low", "mid", "high"], "d": ["nein", "ja"]}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "a", "kind": "continuous"},
+        {"name": "b", "kind": "ordinal", "levels": levels["b"]},
+        {"name": "c", "kind": "continuous"},
+        {"name": "d", "kind": "categorical", "levels": levels["d"]},
+    ]))
+    rows = [
+        [f"{a[i]:.6f}", levels["b"][int(b[i] > -0.5) + int(b[i] > 0.5)], repr(float(c[i])),
+         levels["d"][int(d[i] > 0)]]
+        for i in range(n)
+    ]
+    plain = "\n".join(",".join(row) for row in [["a", "b", "c", "d"], *rows]) + "\n"
+    files = {"plain": plain, "crlf": plain.replace("\n", "\r\n")}
+    with io.StringIO(newline="") as quoted:
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows([["a", "b", "c", "d"], *rows])
+        files["quoted"] = quoted.getvalue()
+    outputs = {}
+    for name, text in files.items():
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(text.encode("utf-8"))
+        out = tmp_path / name
+        code, stdout, stderr = run(
+            capsys, "learn", "--data", str(data), "--schema", str(schema),
+            "--algorithm", algorithm, "--out", str(out),
+        )
+        assert code == 0, stderr
+        summary = json.loads(stdout)
+        del summary["out"]
+        outputs[name] = (summary, (tmp_path / f"{name}.json").read_bytes(),
+                         (tmp_path / f"{name}.dot").read_bytes())
+    assert outputs["plain"][0]["ne"] > 0
+    assert outputs["crlf"] == outputs["plain"] == outputs["quoted"]
 
 
 # Each input file other than the CSV, and a run that reads it.

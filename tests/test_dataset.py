@@ -1,4 +1,7 @@
+import csv
 import json
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,15 +10,17 @@ from hypothesis import strategies as st
 
 from causeweave import CIEngine, cap_levels, filter_dominant, learn_structure, load_csv
 from causeweave.citest import make_backend
-from causeweave.dataset import VariableSchema, from_raw, joint_codes
+from causeweave import dataset
+from causeweave.dataset import DISCRETE_KINDS, VariableSchema, from_raw, joint_codes
 from causeweave.errors import (
+    InputError,
     MissingColumn,
     RowLengthMismatch,
     SchemaError,
     UnknownLevel,
 )
 from causeweave.score import fit_local
-from oracle_helpers import count_rows, decode
+from oracle_helpers import count_rows, decode, reference_codes
 
 SCHEMA3 = [
     {"name": "a", "kind": "categorical", "levels": ["yes", "no"]},
@@ -189,6 +194,34 @@ def test_codes_bins_continuous_with_ties():
     assert codes.tolist() == [2, 0, 2, 1, 2, 0, 1, 2, 2, 2]
 
 
+@st.composite
+def coded_columns(draw):
+    """A discrete column whose declared levels some rows never take, or a
+    continuous column drawn from few values, so that quantile edges tie."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        n_levels = draw(st.integers(2, 8))
+        used = draw(st.lists(st.integers(0, n_levels - 1), min_size=1, max_size=n_levels))
+        cells = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+        var = VariableSchema("v", "categorical", tuple(f"l{i}" for i in range(n_levels)))
+        return var, [var.levels[i] for i in cells]
+    values = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=4))
+    cells = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    return VariableSchema("v", "continuous"), cells
+
+
+@given(coded_columns())
+@settings(max_examples=200, deadline=None)
+def test_codes_equal_the_sorting_reference(column):
+    var, cells = column
+    data = from_raw((var,), {"v": cells})
+    codes, n_levels = data.codes("v")
+    expected, expected_levels = reference_codes(data, "v")
+    assert codes.dtype == expected.dtype
+    assert codes.tobytes() == expected.tobytes()
+    assert n_levels == expected_levels and type(n_levels) is int
+
+
 @pytest.mark.parametrize("backend", ["gtest", "auto"])
 def test_codes_of_an_unknown_name_raise_missing_column(rng, backend):
     # Whichever path reaches ``Dataset.codes`` first: a test, a learn, a fit.
@@ -226,7 +259,7 @@ def survey_rows(n):
     return [f"{('yes', 'no')[i % 2]},{('low', 'mid', 'high')[i % 3]},{i * 0.25}" for i in range(n)]
 
 
-@pytest.mark.parametrize(
+DEEP_ERRORS = pytest.mark.parametrize(
     "bad, message",
     [
         ({7000: "Maybe,mid,1.0"}, "a: value 'Maybe' (row 7000) is not a declared level"),
@@ -239,6 +272,9 @@ def survey_rows(n):
     ],
     ids=["bad-level", "non-numeric", "nan", "first-column-first", "numeric-before-finite"],
 )
+
+
+@DEEP_ERRORS
 def test_load_csv_error_deep_in_a_large_file(tmp_path, bad, message):
     rows = survey_rows(10000)
     for row_no, row in bad.items():
@@ -316,3 +352,203 @@ def test_joint_codes_leaves_its_inputs_unchanged(rng):
         assert np.array_equal(codes, saved)
     a, b, c = (codes for codes, _ in columns)
     assert flat.tolist() == ((a * 2 + b) * 4 + c).tolist()
+
+
+# -- the byte tokeniser against csv.reader ---------------------------------------
+
+
+def load_outcome(csv_path, schema_path):
+    """What ``load_csv`` makes of a file: the dataset's names, row count and
+    column bytes, or the class and message of the error it raises."""
+    try:
+        data = load_csv(csv_path, schema_path)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    columns = {name: (col.dtype.str, col.tobytes()) for name, col in data.columns.items()}
+    return data.names, data.n, columns
+
+
+@contextmanager
+def reader_refused():
+    """Fail if ``load_csv`` falls back to ``csv.reader`` inside the block."""
+    with mock.patch.object(dataset.csv, "reader", side_effect=AssertionError("csv.reader")):
+        yield
+
+
+def reader_outcome(csv_path, schema_path):
+    """``load_outcome`` through ``csv.reader`` alone."""
+    with mock.patch.object(dataset._PlainCsv, "parse", return_value=None):
+        return load_outcome(csv_path, schema_path)
+
+
+LABELS = ["yes", "no", "", " x", "né", "日本", "ß", "1.5", "Others"]
+NUMBERS = [
+    "1.5", "-2", "1e3", " 3.0 ", "1_0", "١٢", "\u00a01.5", "\u20031", "0x1", "nan", "-Infinity",
+    "inf", "1e400", "", "oops", "+.5", "1.", "\ufeff2",
+]
+
+
+@st.composite
+def plain_csvs(draw):
+    """A schema and the lines of a CSV with no quote, CR or NUL inside a line:
+    header columns that may repeat or lack a schema name, cells that may not
+    parse, and rows whose cell count may be off by one."""
+    schema = []
+    for i in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["v", "é", "w x"])) + str(i)
+        if draw(st.booleans()):
+            levels = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=4, unique=True))
+            schema.append({"name": name, "kind": draw(st.sampled_from(DISCRETE_KINDS)),
+                           "levels": levels})
+        else:
+            schema.append({"name": name, "kind": "continuous"})
+    names = [v["name"] for v in schema]
+    if names and draw(st.integers(0, 9)) == 0:
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    extras = draw(st.lists(st.sampled_from(["x", "ü", "v0"]), max_size=2))
+    header = draw(st.permutations(names + extras)) or ["x"]
+    k = len(header)
+    pool = LABELS + NUMBERS
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = k if draw(st.integers(0, 15)) else draw(st.sampled_from([k - 1, k + 1]))
+        rows.append(",".join(draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))))
+    return schema, header, rows
+
+
+@given(
+    plain_csvs(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_plain_csv_loads_as_the_csv_reader_reads_it(tmp_path_factory, case, newline, end, bom):
+    schema, header, rows = case
+    tmp_path = tmp_path_factory.mktemp("plain")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    prefix = b"\xef\xbb\xbf" if bom else b""
+
+    def write(name, header):
+        path = tmp_path / name
+        text = newline.join([",".join(header), *rows]) + (newline if end else "")
+        path.write_bytes(prefix + text.encode("utf-8"))
+        return path
+
+    plain = write("plain.csv", header)
+    # A quoted header field sends the same content down the csv.reader path.
+    quoted = write("quoted.csv", [f'"{header[0]}"', *header[1:]])
+    if all([",".join(header), *rows]):  # no blank line
+        with reader_refused():
+            outcome = load_outcome(plain, schema_path)
+    else:
+        outcome = load_outcome(plain, schema_path)
+    assert outcome == load_outcome(quoted, schema_path)
+
+
+SURVEY = "\n".join(["a,b,c", *survey_rows(40)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        (SURVEY.replace("\n", "\r\n"), True),
+        (SURVEY.replace("\n", "\r\n", 5), True),  # CRLF and LF mixed
+        (SURVEY.replace("\n", "\r", 7), False),  # a bare CR ends a row for csv.reader
+        (SURVEY.replace("yes,", "yes\r,", 1), False),
+        (SURVEY.replace("\n", "\n\n", 3), False),  # a blank line is a row of no cells
+        (SURVEY.replace("\n", "\r\n\r\n", 3), False),
+        ("\n" + SURVEY, False),
+        (SURVEY + "\n", False),
+        (SURVEY.replace("low", "lo\0w", 1), False),
+        (SURVEY.replace("yes", "y" * (csv.field_size_limit() + 1), 1), False),
+        # The tokeniser takes no line longer than the reader's field limit.
+        (SURVEY.replace("yes", "y" * csv.field_size_limit(), 1), False),
+        (SURVEY.replace("yes", "y" * (csv.field_size_limit() - len(",low,0.0")), 1), True),
+        ("\ufeff" + SURVEY, True),
+        ("\ufeff\ufeff" + SURVEY, True),  # only the first mark is skipped
+        ("a,b,c\n", True),
+        ("a,b,c", True),
+        ("", False),
+        ("\ufeff", False),
+        ("\n", False),
+        (SURVEY.rstrip("\n"), True),
+        (SURVEY.rstrip("\n") + ",", True),
+        (SURVEY.replace("1.0", "1.0,", 1), True),
+        (SURVEY.replace("a,b,c", "b,c,a,e\u0301"), True),
+        (SURVEY.replace("yes", "\u00e9", 3), True),
+        (SURVEY.replace("yes", '"yes"', 3), False),
+    ],
+    ids=[
+        "crlf", "crlf-and-lf", "bare-cr", "cr-in-a-field", "blank-line", "blank-crlf-line",
+        "leading-blank-line", "trailing-blank-line", "nul", "over-long-field",
+        "field-at-the-limit", "line-at-the-limit", "bom", "two-boms", "header-only", "header-only-unterminated",
+        "empty", "bom-only", "newline-only", "no-trailing-newline", "empty-last-field",
+        "extra-cell", "more-header-fields", "non-ascii-cell", "quoted-cells",
+    ],
+)
+@pytest.mark.parametrize(
+    "schema",
+    [SCHEMA3, [], [SCHEMA3[2], SCHEMA3[0]],
+     [{"name": "a", "kind": "categorical", "levels": ["yes", "\u00e9", "no"]}, SCHEMA3[1]]],
+    ids=["schema3", "empty-schema", "reordered", "non-ascii-level"],
+)
+def test_load_csv_edge_files_match_the_csv_reader(tmp_path, text, plain, schema):
+    csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+    csv_path.write_bytes(text.encode("utf-8"))
+    schema_path.write_text(json.dumps(schema))
+    expected = reader_outcome(csv_path, schema_path)
+    if plain:
+        with reader_refused():
+            assert load_outcome(csv_path, schema_path) == expected
+    else:
+        assert load_outcome(csv_path, schema_path) == expected
+
+
+def test_load_csv_invalid_utf8_is_read_by_the_csv_reader(tmp_path):
+    csv_path, schema_path = write_inputs(tmp_path, survey_rows(5))
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"mid", b"m\xffd"))
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_csv(csv_path, schema_path)
+    with pytest.raises(UnicodeDecodeError) as expected:
+        reader_outcome(csv_path, schema_path)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_load_csv_level_with_a_nul_is_read_by_the_csv_reader(tmp_path):
+    # An S array drops trailing NULs, so "no\0" would match a cell "no".
+    schema = [{"name": "a", "kind": "categorical", "levels": ["yes", "no\0"]}]
+    paths = write_inputs(tmp_path, ["yes", "no"], schema, header="a")
+    with pytest.raises(UnknownLevel, match=r"^a: value 'no' \(row 2\) is not a declared level$"):
+        load_csv(*paths)
+
+
+@DEEP_ERRORS
+def test_load_csv_deep_errors_match_the_csv_reader(tmp_path, bad, message):
+    rows = survey_rows(10000)
+    for row_no, row in bad.items():
+        rows[row_no - 1] = row
+    paths = write_inputs(tmp_path, rows)
+    with reader_refused():
+        assert load_outcome(*paths) == ("UnknownLevel", message)
+    assert reader_outcome(*paths) == ("UnknownLevel", message)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({3: "yes,low"}, "row 3: 2 cells, header has 3"),
+        ({1: "yes,low,1.0,2.0"}, "row 1: 4 cells, header has 3"),
+        ({9000: "yes", 9500: "no,low"}, "row 9000: 1 cells, header has 3"),
+        ({10000: "yes,low,1.0,"}, "row 10000: 4 cells, header has 3"),
+    ],
+)
+def test_load_csv_first_ragged_row_matches_the_csv_reader(tmp_path, bad, message):
+    rows = survey_rows(10000)
+    for row_no, row in bad.items():
+        rows[row_no - 1] = row
+    paths = write_inputs(tmp_path, rows)
+    with reader_refused():
+        assert load_outcome(*paths) == ("RowLengthMismatch", message)
+    assert reader_outcome(*paths) == ("RowLengthMismatch", message)

@@ -177,6 +177,42 @@ def test_oracle_family_contains_true_neighborhood(rng):
             )
 
 
+def pairwise_family(search):
+    """The family by the pairwise rule, from a finished search: the terminal
+    sets (empty extension), in the order they were examined, each kept
+    unless a later one strictly contains it."""
+    terminal = [s for s, ext in search.memo.items() if not ext]
+    return tuple(
+        s
+        for i, s in enumerate(terminal)
+        if not any(set(s) < set(later) for later in terminal[i + 1 :])
+    )
+
+
+def test_family_equals_the_pairwise_maximal_scan(rng, example1_engine, budget_table):
+    searches = [ForwardSearch("X", VARS3, example1_engine, alpha=0.05)]
+    table, _ = budget_table
+    searches += [
+        ForwardSearch(t, BUDGET_NAMES, engine_for(table), alpha=BUDGET_ALPHA, m_ci=m_ci)
+        for t in BUDGET_NAMES[:3]
+        for m_ci in (1, 2, 8)
+    ]
+    for _ in range(20):
+        k = int(rng.integers(4, 10))
+        dag = random_dag(k, rng, edge_prob=float(rng.uniform(0.2, 0.6)), max_degree=4)
+        engine = CIEngine(OracleBackend(dag))
+        m_ci = int(rng.integers(1, 4))
+        searches += [ForwardSearch(x, dag.vertices, engine, m_ci=m_ci) for x in dag.vertices]
+    sizes = []
+    for search in searches:
+        fam = search.run()
+        assert fam.family == pairwise_family(search), (search.target, search.memo)
+        sizes.append(len(fam.family))
+    # Some searches have several maximal sets and drop non-maximal terminal ones.
+    assert max(sizes) > 3
+    assert any(len(pairwise_family(s)) < sum(not e for e in s.memo.values()) for s in searches)
+
+
 def test_budget_exceeded(example1_engine, monkeypatch):
     monkeypatch.setattr("causeweave.forward.BUDGET", 2)
     with pytest.raises(BudgetExceeded, match="more than 2 candidate sets"):
