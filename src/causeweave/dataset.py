@@ -3,7 +3,11 @@
 Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
 marked read-only.  Every input file is read here: ``load_csv`` reads
-the CSV and ``read_input`` reads the rest.
+the CSV and ``read_input`` reads the rest.  A plain CSV's cells are decoded
+from their byte bounds: short labels as 8-byte keys and short decimals as
+a mantissa over a power of ten.  Level codes (``Dataset.codes``) and joint
+cell indices (``joint_codes``) take the narrowest signed integer type that
+holds their cell count (``code_dtype``).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,11 +39,21 @@ QUINTILE_BINS = 5
 OTHER_LABEL = "Others"
 
 _NO_DATA_ROWS = "empty CSV: no data rows"
-# The byte class of the plain CSV tokeniser: True for a byte that ends a
-# field (a comma or a line feed).
-_FIELD_END = np.zeros(256, dtype=bool)
-_FIELD_END[[ord(","), ord("\n")]] = True
-_LF, _CR = ord("\n"), ord("\r")
+_COMMA, _LF, _CR, _MINUS, _ZERO = (ord(c) for c in ",\n\r-0")
+# A level key is a field's bytes as one little-endian unsigned 8-byte word.
+_WORD = 8
+# Masks that keep the first 0..8 bytes of a key.
+_KEY_MASKS = np.array([(1 << 8 * size) - 1 for size in range(_WORD + 1)], dtype=np.uint64)
+# A decimal read from its bytes has at most 15 digits, so its mantissa is
+# below 10**15 < 2**53 and, like every power of ten up to 10**16, exact.
+_MAX_DIGITS = 15
+_NUMBER_WIDTH = _MAX_DIGITS + 2  # with a sign and a point
+_POWERS = np.array([10**place for place in range(_NUMBER_WIDTH)], dtype=np.float64)
+# A decimal point less the zero digit, in bytes.
+_POINT_DIGIT = (ord(".") - _ZERO) % 256
+# The signed integer types narrower than int64, each with the largest
+# count it holds (``code_dtype`` runs once per table).
+_CODE_DTYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 
 
 @dataclass(frozen=True)
@@ -122,8 +137,9 @@ class Dataset:
         then renumbered to the levels some row has: a declared level or a
         bin no row falls in is no level.  The renumbering counts rows per
         level rather than sorting them, so each level's code is the number
-        of observed levels below it.  Computed once per column and kept,
-        read-only like ``columns``, for every later caller.
+        of observed levels below it, in ``code_dtype`` of their count.
+        Computed once per column and kept, read-only like ``columns``, for
+        every later caller.
         """
         if name not in self._codes:
             var = self.variable(name)
@@ -132,10 +148,11 @@ class Dataset:
                 qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
                 col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
             observed = np.bincount(col) > 0
-            renumber = np.cumsum(observed, dtype=np.intp) - 1
+            n_levels = int(np.count_nonzero(observed))
+            renumber = np.cumsum(observed, dtype=code_dtype(n_levels)) - 1
             codes = renumber[col]
             codes.setflags(write=False)
-            self._codes[name] = (codes, int(np.count_nonzero(observed)))
+            self._codes[name] = (codes, n_levels)
         return self._codes[name]
 
 
@@ -254,11 +271,14 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
     missingness must be declared as an explicit level upstream.  A file with
     a header and no data rows is refused, and so is a row the CSV reader
     cannot split, such as one with a field longer than
-    ``csv.field_size_limit()``.
+    ``csv.field_size_limit()``.  The dataset has one row per data row, even
+    when the schema is empty.
 
     A plain file (see ``_PlainCsv.parse``) is tokenised over its bytes with
-    NumPy; any other file, or a schema with a NUL in a level, goes through
-    ``csv.reader``.  Both give the same dataset or raise the same error.
+    NumPy and each column decoded from its fields' bounds (see
+    ``_decode_plain``); any other file, or a schema with a NUL in a level,
+    goes through ``csv.reader``.  Both give the same dataset or raise the
+    same error.
 
     Raises
     ------
@@ -273,9 +293,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Dataset:
         return _read_csv(path, schema)
     positions = _header_positions(plain.header, schema)
     n = plain.data_rows()
-    columns = {var.name: _encode_plain(var, plain.column(positions[var.name])) for var in schema}
-    # As on the reader path, where from_raw counts the rows of the first column.
-    return Dataset(schema=schema, columns=columns, n=n if columns else 0)
+    columns = {var.name: _decode_plain(plain, var, positions[var.name]) for var in schema}
+    return Dataset(schema=schema, columns=columns, n=n)
 
 
 def _header_positions(header: list[str], schema: tuple[VariableSchema, ...]) -> dict[str, int]:
@@ -319,9 +338,11 @@ def _read_csv(path: str | Path, schema: tuple[VariableSchema, ...]) -> Dataset:
             raise RowLengthMismatch(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise RowLengthMismatch(_NO_DATA_ROWS)
+    n = len(rows)
     cells = list(zip(*rows))
     del rows  # the cells stay referenced once, by column
-    return from_raw(schema, dict(zip(col_pos, cells)))
+    columns = {var.name: _encode_column(var, column) for var, column in zip(schema, cells)}
+    return Dataset(schema=schema, columns=columns, n=n)
 
 
 def _row_length_message(row_no: int, cells: int, header: int) -> str:
@@ -332,11 +353,14 @@ def _row_length_message(row_no: int, cells: int, header: int) -> str:
 class _PlainCsv:
     """A plain CSV's bytes, split into fields with NumPy.
 
-    ``ends`` holds the position of every field's end (its comma or line
-    feed) in file order, and ``lines`` the index in ``ends`` of each line's
-    last field; the header is line 0.  ``buf`` is the file after any
-    byte-order mark, zero-padded so that a window of any field's width fits
-    after every field start.  ``crlf`` is set when some line ends in CRLF.
+    ``ends`` holds the position in the file (after any byte-order mark) of
+    every field's end (its comma or line feed) in file order, and ``lines``
+    the index in ``ends`` of each line's last field; the header is line 0.
+    ``buf`` is the file after any byte-order mark, behind ``_NUMBER_WIDTH``
+    zero bytes (so that a number's window ending at any field end starts
+    inside it) and before the zero bytes that let ``_WORD`` bytes and a
+    window of any field's width fit after every field start.  ``crlf`` is
+    set when some line ends in CRLF.
     """
 
     header: list[str]
@@ -368,8 +392,13 @@ class _PlainCsv:
                 return None
         body = np.frombuffer(raw, dtype=np.uint8, offset=start)
         size = len(body)
+        field_end = body == _COMMA
+        field_end |= body == _LF
+        ends = np.flatnonzero(field_end)
+        del field_end  # before the narrowing copy below, which sets the peak
+        # int32 when every position in buf (see bounds) fits.
+        ends = ends.astype(np.int32 if _NUMBER_WIDTH + size < 2**31 - 1 else np.int64)
         # A virtual line end after an unterminated last line is position size.
-        ends = np.flatnonzero(_FIELD_END[body]).astype(np.int32 if size < 2**31 - 1 else np.int64)
         lines = np.flatnonzero(body[ends] == _LF)
         if body[-1] != _LF:
             ends = np.append(ends, np.array([size], dtype=ends.dtype))
@@ -382,8 +411,8 @@ class _PlainCsv:
         if lengths.min() == 0 or widest > csv.field_size_limit():
             return None
         header = bytes(body[: lengths[0]]).decode("utf-8").split(",")
-        buf = np.zeros(size + widest, dtype=np.uint8)
-        buf[:size] = body
+        buf = np.zeros(_NUMBER_WIDTH + size + max(widest, _WORD), dtype=np.uint8)
+        buf[_NUMBER_WIDTH : _NUMBER_WIDTH + size] = body
         return cls(header, buf, ends, lines, crlf)
 
     def data_rows(self) -> int:
@@ -400,37 +429,130 @@ class _PlainCsv:
             raise RowLengthMismatch(_NO_DATA_ROWS)
         return n_lines - 1
 
-    def column(self, p: int) -> np.ndarray:
-        """The data rows' fields at header position ``p``, as a fixed-width
-        bytes (``S``) array; call after ``data_rows``."""
+    def bounds(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where in ``buf`` the data rows' fields at header position ``p``
+        start and stop (before the comma, line feed or CRLF); call after
+        ``data_rows``."""
         grid = self.ends.reshape(len(self.lines), len(self.header))
-        stop = grid[1:, p]
+        stop = grid[1:, p] + _NUMBER_WIDTH
         if p == grid.shape[1] - 1 and self.crlf:
-            stop = stop - (self.buf[stop - 1] == _CR)
-        start = (grid[1:, p - 1] if p else grid[:-1, -1]) + 1
+            stop -= self.buf[stop - 1] == _CR
+        start = (grid[1:, p - 1] if p else grid[:-1, -1]) + (_NUMBER_WIDTH + 1)
+        return start, stop
+
+    def column(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """The fields between ``start`` and ``stop`` as a fixed-width bytes
+        (``S``) array."""
         lengths = stop - start
         width = max(int(lengths.max()), 1)
         fields = sliding_window_view(self.buf, width)[start]
         fields *= np.arange(width) < lengths[:, None]
         return fields.view(f"S{width}").ravel()
 
+    def keys(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+        """The fields between ``start`` and ``stop`` as level keys (see
+        ``_level_keys``), or None when one is longer than ``_WORD`` bytes: a
+        little-endian word read at each start, masked to the field's length."""
+        lengths = stop - start
+        if lengths.max() > _WORD:
+            return None
+        words = np.ndarray((len(self.buf) - _WORD + 1,), "<u8", self.buf, strides=(1,))
+        return words[start] & _KEY_MASKS[lengths]
+
+    def decimals(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+        """The fields between ``start`` and ``stop`` as the numbers ``float``
+        reads from them, or None unless each is ``-?digits`` or
+        ``-?digits.digits`` with at most ``_MAX_DIGITS`` digits, with as many
+        digits after the point in every row.
+
+        Each field is read from a window of the widest field's bytes that
+        ends where the field ends, so every byte column has one place value.
+        The mantissa and the power of ten are exact doubles, and one IEEE
+        division rounds their quotient as ``float`` rounds the decimal."""
+        lengths = stop - start
+        width = int(lengths.max())
+        if width > _NUMBER_WIDTH or lengths.min() == 0:
+            return None
+        first = bytes(self.buf[start[0] : stop[0]])
+        fraction = len(first) - 1 - first.rfind(b".") if b"." in first else 0
+        negative = self.buf[start] == _MINUS
+        unsigned = lengths - negative
+        count = unsigned - (fraction > 0)
+        if count.min() <= fraction or count.max() > _MAX_DIGITS:
+            return None
+        digits = sliding_window_view(self.buf, width)[stop - width]
+        digits -= _ZERO
+        # Each field's bytes after its sign stay; the bytes before read 0.
+        tails = np.arange(width) >= np.arange(width + 1)[:, None]
+        digits *= np.take(tails, width - unsigned, axis=0)
+        if fraction:
+            if not (digits[:, width - 1 - fraction] == _POINT_DIGIT).all():
+                return None
+            digits[:, width - 1 - fraction] = 0
+        if digits.max() > 9:
+            return None
+        # Place values from the last column: the fraction digits, the point
+        # (a zero digit by now) and then the whole digits.
+        places = np.arange(width - 1, -1, -1)
+        if fraction:
+            places -= places >= fraction
+        values = (digits @ _POWERS[places]) / _POWERS[fraction]
+        # Every value is +0.0 or positive, so a negative sign source gives -v.
+        return np.copysign(values, 0.5 - negative, out=values)
+
+
+def _level_keys(var: VariableSchema) -> np.ndarray | None:
+    """Each declared level's UTF-8 bytes as one little-endian ``uint64``,
+    zero-filled past its end, or None when a level is longer than
+    ``_WORD`` bytes.  No level with a key holds a NUL, so equal keys are
+    equal bytes."""
+    labels = [label.encode("utf-8", "surrogatepass") for label in var.levels]
+    if max(map(len, labels)) > _WORD:
+        return None
+    return np.array([int.from_bytes(label, "little") for label in labels], dtype=np.uint64)
+
+
+def _decode_plain(plain: _PlainCsv, var: VariableSchema, p: int) -> np.ndarray:
+    """One column of ``from_raw`` from a plain CSV's fields at header
+    position ``p``.
+
+    A discrete column whose levels and fields are at most ``_WORD`` bytes
+    is looked up by key, and a continuous column of short decimals is read
+    by ``_PlainCsv.decimals``.  Any other column, or one with a miss, goes
+    through ``_encode_plain``."""
+    start, stop = plain.bounds(p)
+    if var.is_discrete:
+        levels = _level_keys(var)
+        keys = None if levels is None else plain.keys(start, stop)
+        enc = None if keys is None else _search(levels, keys)
+    else:
+        enc = plain.decimals(start, stop)
+    return _encode_plain(var, plain.column(start, stop)) if enc is None else enc
+
+
+def _search(levels: np.ndarray, cells: np.ndarray) -> np.ndarray | None:
+    """Each cell's index in ``levels`` (``int64``), or None when some cell
+    is no level."""
+    order = np.argsort(levels)
+    ordered = levels[order]
+    at = np.minimum(np.searchsorted(ordered, cells), len(ordered) - 1)
+    return order[at].astype(np.int64) if (ordered[at] == cells).all() else None
+
 
 def _encode_plain(var: VariableSchema, cells: np.ndarray) -> np.ndarray:
     """One column of ``from_raw`` from the UTF-8 bytes of its cells.
 
-    Discrete cells are found by ``searchsorted`` among the sorted bytes of
-    the declared levels (none holds a NUL, which an ``S`` array would drop)
-    and continuous ones are read by ``float`` from their bytes.  A column
-    with a miss, a parse failure or a non-finite value is encoded from its
-    decoded ``str`` cells by ``from_raw``'s own code, which raises the same
-    error as the ``csv.reader`` path."""
+    Discrete cells are found by ``searchsorted`` among the bytes of the
+    declared levels (none holds a NUL, which an ``S`` array would drop) and
+    continuous ones are read by ``float`` from their bytes.  A column with a
+    miss, a parse failure or a non-finite value is encoded from its decoded
+    ``str`` cells by ``from_raw``'s own code, which raises the same error as
+    the ``csv.reader`` path."""
     if var.is_discrete:
         labels = np.array([label.encode("utf-8", "surrogatepass") for label in var.levels])
-        order = np.argsort(labels).astype(np.int64)
-        ordered = labels[order]
-        at = np.minimum(np.searchsorted(ordered, cells), len(ordered) - 1)
-        if (ordered[at] == cells).all():
-            return order[at]
+        enc = _search(labels, cells)
+        if enc is not None:
+            return enc
     else:
         try:
             enc = np.fromiter(map(float, cells.tolist()), np.float64, count=len(cells))
@@ -512,18 +634,29 @@ def cap_levels(data: Dataset, coverage: float = 0.95) -> Dataset:
     return Dataset(schema=tuple(new_schema), columns=new_columns, n=data.n)
 
 
+def code_dtype(cells: int) -> np.dtype:
+    """The narrowest signed integer type that holds ``cells``: the type of
+    codes and cell indices below a cell count.  Every partial index of
+    ``joint_codes`` and ``GTestBackend._counts`` is below its cell count,
+    so none overflows."""
+    for top, dtype in _CODE_DTYPES:
+        if cells <= top:
+            return dtype
+    return np.dtype(np.int64)
+
+
 def joint_codes(columns: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
     """Row-major joint cell index over ``(codes, n_levels)`` pairs.
 
     The first column varies slowest.  ``n`` is the row count, needed when
     ``columns`` is empty (every row then falls in the single cell 0).  The
-    index is built in place in one fresh ``int64`` array, so no temporary
-    is made per column and the input code arrays are left untouched.
+    cell count comes first, and the index is built in place in one fresh
+    array of its ``code_dtype``, so no temporary is made per column and the
+    input code arrays are left untouched.
     """
-    flat = np.zeros(n, dtype=np.int64)
-    n_cells = 1
+    n_cells = math.prod(levels for _, levels in columns)
+    flat = np.zeros(n, dtype=code_dtype(n_cells))
     for codes, levels in columns:
         flat *= levels
         flat += codes
-        n_cells *= levels
     return flat, n_cells

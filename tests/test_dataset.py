@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from causeweave import CIEngine, cap_levels, filter_dominant, learn_structure, load_csv
 from causeweave.citest import make_backend
 from causeweave import dataset
-from causeweave.dataset import DISCRETE_KINDS, VariableSchema, from_raw, joint_codes
+from causeweave.dataset import (
+    DISCRETE_KINDS,
+    VariableSchema,
+    code_dtype,
+    from_raw,
+    joint_codes,
+)
 from causeweave.errors import (
     InputError,
     MissingColumn,
@@ -217,9 +223,10 @@ def test_codes_equal_the_sorting_reference(column):
     data = from_raw((var,), {"v": cells})
     codes, n_levels = data.codes("v")
     expected, expected_levels = reference_codes(data, "v")
-    assert codes.dtype == expected.dtype
-    assert codes.tobytes() == expected.tobytes()
     assert n_levels == expected_levels and type(n_levels) is int
+    # The narrowest signed type that holds the level count, the reference's values.
+    assert codes.dtype == code_dtype(n_levels) == np.int8
+    assert codes.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("backend", ["gtest", "auto"])
@@ -321,7 +328,7 @@ def test_load_csv_reads_one_or_reordered_schema_columns_of_a_wide_file(tmp_path,
     full = {"a": ["yes", "no", "yes"], "b": ["low", "mid", "high"], "c": [1.5, 2.0, -1.0]}
     assert data.names == tuple(names)
     assert decode(data) == {name: full[name] for name in names}
-    assert data.n == (3 if names else 0)
+    assert data.n == 3
 
 
 def test_from_raw_converts_python_and_numpy_cells():
@@ -341,6 +348,37 @@ def test_from_raw_converts_python_and_numpy_cells():
     with pytest.raises(UnknownLevel) as exc:
         from_raw(schema, {"a": [2, 0, 1], "c": [1.0, None, 2.0]})
     assert str(exc.value) == "c: value None (row 2) is not numeric"
+
+
+@pytest.mark.parametrize(
+    "cells, dtype",
+    [(0, np.int8), (1, np.int8), (2**7 - 1, np.int8), (2**7, np.int16), (2**15 - 1, np.int16),
+     (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64), (2**40, np.int64)],
+)
+def test_code_dtype_is_the_narrowest_signed_type_that_holds_the_count(cells, dtype):
+    assert code_dtype(cells) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize(
+    "levels", [(7, 31, 151), (8, 64, 64), (2**16, 2**15), (2**16, 2**16)],
+    ids=["2**15-1", "2**15", "2**31", "2**32"],
+)
+def test_joint_codes_equal_an_int64_reference_on_both_sides_of_a_type_bound(rng, levels):
+    # Few rows, so a count up to 2**32 allocates no cell; the first and last
+    # rows take every column's top and bottom codes.
+    columns = []
+    for k in levels:
+        codes = rng.integers(0, k, size=50)
+        codes[0], codes[-1] = k - 1, 0
+        columns.append((codes.astype(code_dtype(k)), k))
+    flat, n_cells = joint_codes(columns, 50)
+    expected = np.zeros(50, dtype=np.int64)
+    for codes, k in columns:
+        expected = expected * k + codes.astype(np.int64)
+    assert n_cells == int(np.prod(levels, dtype=np.int64))
+    assert flat.dtype == code_dtype(n_cells)
+    assert flat.tolist() == expected.tolist()
+    assert flat[0] == n_cells - 1
 
 
 def test_joint_codes_leaves_its_inputs_unchanged(rng):
@@ -552,3 +590,100 @@ def test_load_csv_first_ragged_row_matches_the_csv_reader(tmp_path, bad, message
     with reader_refused():
         assert load_outcome(*paths) == ("RowLengthMismatch", message)
     assert reader_outcome(*paths) == ("RowLengthMismatch", message)
+
+
+# -- the field decoders against csv.reader ----------------------------------------
+
+ODD_NUMBERS = [
+    "-0", "-0.000000", "00.5", "5.", ".5", "+1", "1e5", "1_0", " 1", "1 ", "inf", "nan", "-",
+    "-.5", "--1", "1-", "1.2.3", "1234567890123456", "123456789012345", "12345678901234.5",
+    "-123456789.1234567", "0.1234567890123456", "\u0661\u0662", "\uff11", "1.25", "-7", "",
+]
+ODD_LABELS = ["a", "ab", "abcdefgh", "abcdefghi", "n\u00e9", "\u65e5\u672c", "\u65e5\u672c\u8a9e",
+              "", "x y", "Others", "-0.5"]
+
+
+@st.composite
+def decimal_cells(draw):
+    """A column of decimals with one count of digits after the point, of
+    which one in ten may be an odd number form."""
+    fraction = draw(st.sampled_from([0, 1, 6, 14]))
+    cells = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            cells.append(draw(st.sampled_from(ODD_NUMBERS)))
+            continue
+        whole = draw(st.integers(0, 10 ** draw(st.integers(1, max(1, 15 - fraction))) - 1))
+        part = draw(st.integers(0, 10**fraction - 1)) if fraction else None
+        cell = str(whole) if part is None else f"{whole}.{part:0{fraction}d}"
+        cells.append(("-" if draw(st.booleans()) else "") + cell)
+    return cells
+
+
+@st.composite
+def decoded_csvs(draw):
+    """A schema of one or two columns and the rows of a plain CSV that holds
+    them: labels with some declared levels no row takes and, rarely, an
+    undeclared one; decimals as ``decimal_cells`` draws them."""
+    columns, schema = [], []
+    for i in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            levels = draw(st.lists(st.sampled_from(ODD_LABELS), min_size=2, max_size=5, unique=True))
+            pool = levels[: draw(st.integers(1, len(levels)))]
+            if draw(st.integers(0, 4)) == 0:
+                pool = pool + [draw(st.sampled_from(ODD_LABELS))]
+            schema.append({"name": f"d{i}", "kind": "categorical", "levels": levels})
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+        else:
+            schema.append({"name": f"c{i}", "kind": "continuous"})
+            columns.append(draw(decimal_cells()))
+    n = min(map(len, columns))
+    rows = [",".join(cells) for cells in zip(*(cells[:n] for cells in columns))]
+    return schema, rows
+
+
+@given(decoded_csvs())
+@settings(max_examples=400, deadline=None)
+def test_decoded_fields_load_as_the_csv_reader_reads_them(tmp_path_factory, case):
+    schema, rows = case
+    header = ",".join(v["name"] for v in schema)
+    paths = write_inputs(tmp_path_factory.mktemp("decoded"), rows, schema, header=header)
+    if all(rows):  # no blank line
+        with reader_refused():
+            outcome = load_outcome(*paths)
+    else:
+        outcome = load_outcome(*paths)
+    assert outcome == reader_outcome(*paths)
+
+
+@pytest.mark.parametrize("cell", ODD_NUMBERS)
+def test_odd_number_forms_load_as_the_csv_reader_reads_them(tmp_path, cell):
+    # Beside whole numbers, one-place and six-place decimals, first and last.
+    schema = [{"name": "c", "kind": "continuous"}]
+    for i, others in enumerate([["0", "-12"], ["3.5"], ["-1.500000", "2.000001"]]):
+        for j, rows in enumerate([[cell, *others], [*others, cell]]):
+            (tmp_path / f"{i}{j}").mkdir()
+            paths = write_inputs(tmp_path / f"{i}{j}", rows, schema, header="c")
+            assert load_outcome(*paths) == reader_outcome(*paths)
+
+
+def test_survey_shaped_file_takes_the_field_decoders(tmp_path, rng):
+    # As the survey writer lays a file out: labels of at most 8 bytes and
+    # ``%.6f`` numbers, some of them negative.
+    n, schema, cells = 300, [], []
+    for j in range(8):
+        name = f"V{j:02d}"
+        if j % 3:
+            labels = [f"{name.lower()}_{lv}" for lv in range(2 + j % 3)]
+            schema.append({"name": name, "kind": "ordinal", "levels": labels})
+            cells.append(np.array(labels)[rng.integers(0, len(labels), n)])
+        else:
+            schema.append({"name": name, "kind": "continuous"})
+            cells.append(np.char.mod("%.6f", rng.normal(scale=3.0, size=n)))
+    rows = [",".join(row) for row in np.column_stack(cells).tolist()]
+    paths = write_inputs(tmp_path, rows, schema, header=",".join(v["name"] for v in schema))
+    slow_path = AssertionError("_PlainCsv.column")
+    with reader_refused(), mock.patch.object(dataset._PlainCsv, "column", side_effect=slow_path):
+        outcome = load_outcome(*paths)
+    assert outcome == reader_outcome(*paths)
+    assert outcome[1] == n
