@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .dataset import Dataset, code_dtype, joint_codes, read_json
+from .dataset import Dataset, joint_codes, read_json
 from .errors import (
     DegenerateTable,
     MixedBackendUnsupported,
@@ -229,18 +229,15 @@ class GTestBackend:
     def _counts(self, x: str, y: str, strata: tuple[np.ndarray, int, list[int]]) -> np.ndarray:
         """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``:
         ``x`` and then ``y`` folded in front of the strata code of ``s``, the
-        cell index ``joint_codes`` gives ``(x, y, *s)``, built in the
-        ``code_dtype`` of the cell count."""
+        cell index ``joint_codes`` gives ``(x, y, *s)``."""
         code, n_strata, levels = strata
         (xs, nx), (ys, ny) = self.data.codes(x), self.data.codes(y)
-        n_cells = nx * ny * n_strata
-        # The type of the product is given: NumPy keeps a narrow operand's.
-        flat = np.multiply(xs, ny, dtype=code_dtype(n_cells))
+        flat = xs * ny
         flat += ys
         if n_strata > 1:  # one stratum has the all-zero code
             flat *= n_strata
             flat += code
-        return np.bincount(flat, minlength=n_cells).reshape(nx, ny, *levels)
+        return np.bincount(flat, minlength=nx * ny * n_strata).reshape(nx, ny, *levels)
 
     def _stacked(self, counts: np.ndarray) -> list[CITestResult]:
         """The tests of a stack of tables shaped ``(tables, nx, ny, strata)``."""

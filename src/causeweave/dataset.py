@@ -4,10 +4,8 @@ Discrete observations are stored as level indices (``int64``), continuous
 ones as ``float64``.  A loaded dataset is immutable: column arrays are
 marked read-only.  Every input file is read here: ``load_csv`` reads
 the CSV and ``read_input`` reads the rest.  A plain CSV's cells are decoded
-from their byte bounds: short labels as 8-byte keys and short decimals as
-a mantissa over a power of ten.  Level codes (``Dataset.codes``) and joint
-cell indices (``joint_codes``) take the narrowest signed integer type that
-holds their cell count (``code_dtype``).
+from their byte bounds: labels as rows of 8-byte keys and short decimals as
+a mantissa over a power of ten.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import codecs
 import csv
 import json
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,10 +37,12 @@ OTHER_LABEL = "Others"
 
 _NO_DATA_ROWS = "empty CSV: no data rows"
 _COMMA, _LF, _CR, _MINUS, _ZERO = (ord(c) for c in ",\n\r-0")
-# A level key is a field's bytes as one little-endian unsigned 8-byte word.
+# A label key is a field's bytes as little-endian unsigned 8-byte words.
 _WORD = 8
-# Masks that keep the first 0..8 bytes of a key.
+# Masks that keep the first 0..8 bytes of a word.
 _KEY_MASKS = np.array([(1 << 8 * size) - 1 for size in range(_WORD + 1)], dtype=np.uint64)
+# The odd multiplier that folds a key's words into one (see ``_search``).
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 # A decimal read from its bytes has at most 15 digits, so its mantissa is
 # below 10**15 < 2**53 and, like every power of ten up to 10**16, exact.
 _MAX_DIGITS = 15
@@ -51,9 +50,6 @@ _NUMBER_WIDTH = _MAX_DIGITS + 2  # with a sign and a point
 _POWERS = np.array([10**place for place in range(_NUMBER_WIDTH)], dtype=np.float64)
 # A decimal point less the zero digit, in bytes.
 _POINT_DIGIT = (ord(".") - _ZERO) % 256
-# The signed integer types narrower than int64, each with the largest
-# count it holds (``code_dtype`` runs once per table).
-_CODE_DTYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,8 @@ class Dataset:
         then renumbered to the levels some row has: a declared level or a
         bin no row falls in is no level.  The renumbering counts rows per
         level rather than sorting them, so each level's code is the number
-        of observed levels below it, in ``code_dtype`` of their count.
-        Computed once per column and kept, read-only like ``columns``, for
-        every later caller.
+        of observed levels below it.  Computed once per column and kept,
+        read-only like ``columns``, for every later caller.
         """
         if name not in self._codes:
             var = self.variable(name)
@@ -148,11 +143,10 @@ class Dataset:
                 qs = np.linspace(0.0, 1.0, QUINTILE_BINS + 1)[1:-1]
                 col = np.searchsorted(np.unique(np.quantile(col, qs)), col, side="right")
             observed = np.bincount(col) > 0
-            n_levels = int(np.count_nonzero(observed))
-            renumber = np.cumsum(observed, dtype=code_dtype(n_levels)) - 1
+            renumber = np.cumsum(observed, dtype=np.intp) - 1
             codes = renumber[col]
             codes.setflags(write=False)
-            self._codes[name] = (codes, n_levels)
+            self._codes[name] = (codes, int(np.count_nonzero(observed)))
         return self._codes[name]
 
 
@@ -358,9 +352,9 @@ class _PlainCsv:
     the index in ``ends`` of each line's last field; the header is line 0.
     ``buf`` is the file after any byte-order mark, behind ``_NUMBER_WIDTH``
     zero bytes (so that a number's window ending at any field end starts
-    inside it) and before the zero bytes that let ``_WORD`` bytes and a
-    window of any field's width fit after every field start.  ``crlf`` is
-    set when some line ends in CRLF.
+    inside it) and before the zero bytes that let a window of any field's
+    width, rounded up to whole words, fit after every field start.
+    ``crlf`` is set when some line ends in CRLF.
     """
 
     header: list[str]
@@ -411,7 +405,7 @@ class _PlainCsv:
         if lengths.min() == 0 or widest > csv.field_size_limit():
             return None
         header = bytes(body[: lengths[0]]).decode("utf-8").split(",")
-        buf = np.zeros(_NUMBER_WIDTH + size + max(widest, _WORD), dtype=np.uint8)
+        buf = np.zeros(_NUMBER_WIDTH + size + widest + _WORD, dtype=np.uint8)
         buf[_NUMBER_WIDTH : _NUMBER_WIDTH + size] = body
         return cls(header, buf, ends, lines, crlf)
 
@@ -449,15 +443,17 @@ class _PlainCsv:
         fields *= np.arange(width) < lengths[:, None]
         return fields.view(f"S{width}").ravel()
 
-    def keys(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
-        """The fields between ``start`` and ``stop`` as level keys (see
-        ``_level_keys``), or None when one is longer than ``_WORD`` bytes: a
-        little-endian word read at each start, masked to the field's length."""
+    def keys(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """The fields between ``start`` and ``stop`` as label keys (see
+        ``_level_keys``): one row per field, of as many words as the widest
+        field needs, each word read at its place after the start and masked
+        to the bytes of the field it holds."""
         lengths = stop - start
-        if lengths.max() > _WORD:
-            return None
+        places = np.arange(0, max(int(lengths.max()), 1), _WORD)
         words = np.ndarray((len(self.buf) - _WORD + 1,), "<u8", self.buf, strides=(1,))
-        return words[start] & _KEY_MASKS[lengths]
+        keys = words[start[:, None] + places]
+        keys &= _KEY_MASKS[np.clip(lengths[:, None] - places, 0, _WORD)]
+        return keys
 
     def decimals(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
         """The fields between ``start`` and ``stop`` as the numbers ``float``
@@ -501,59 +497,65 @@ class _PlainCsv:
         return np.copysign(values, 0.5 - negative, out=values)
 
 
-def _level_keys(var: VariableSchema) -> np.ndarray | None:
-    """Each declared level's UTF-8 bytes as one little-endian ``uint64``,
-    zero-filled past its end, or None when a level is longer than
-    ``_WORD`` bytes.  No level with a key holds a NUL, so equal keys are
-    equal bytes."""
-    labels = [label.encode("utf-8", "surrogatepass") for label in var.levels]
-    if max(map(len, labels)) > _WORD:
-        return None
-    return np.array([int.from_bytes(label, "little") for label in labels], dtype=np.uint64)
+def _level_keys(var: VariableSchema, n_words: int) -> np.ndarray:
+    """Each declared level's UTF-8 bytes as a row of ``n_words`` words,
+    zero-filled past its end; a level longer than that is a row of ``0xFF``
+    bytes, which no UTF-8 field holds.  No level of a plain file holds a
+    NUL, so equal keys are equal bytes."""
+    size = _WORD * n_words
+    rows = []
+    for label in var.levels:
+        data = label.encode("utf-8", "surrogatepass")
+        data = data.ljust(size, b"\0") if len(data) <= size else b"\xff" * size
+        rows.append(np.frombuffer(data, dtype="<u8"))
+    return np.array(rows)
+
+
+def _search(levels: np.ndarray, cells: np.ndarray) -> np.ndarray | None:
+    """The index (``int64``) of each row of ``cells`` among the rows of
+    ``levels``, or None when some row is found as no level.
+
+    Each row is folded into one word, first word first, and looked up by
+    ``searchsorted`` among the folded levels; a fold two rows share is
+    caught by comparing the found level's row with the cell's."""
+    folded = []
+    for keys in (levels, cells):
+        fold = keys[:, 0].copy()
+        for j in range(1, keys.shape[1]):
+            fold *= _FOLD
+            fold += keys[:, j]
+        folded.append(fold)
+    order = np.argsort(folded[0]).astype(np.int64)
+    at = np.minimum(np.searchsorted(folded[0][order], folded[1]), len(order) - 1)
+    codes = order[at]
+    return codes if (levels[codes] == cells).all() else None
 
 
 def _decode_plain(plain: _PlainCsv, var: VariableSchema, p: int) -> np.ndarray:
     """One column of ``from_raw`` from a plain CSV's fields at header
     position ``p``.
 
-    A discrete column whose levels and fields are at most ``_WORD`` bytes
-    is looked up by key, and a continuous column of short decimals is read
-    by ``_PlainCsv.decimals``.  Any other column, or one with a miss, goes
-    through ``_encode_plain``."""
+    A discrete column is looked up by key, and a continuous column of short
+    decimals is read by ``_PlainCsv.decimals``.  A column with a miss, or
+    any other column, goes through ``_encode_plain``."""
     start, stop = plain.bounds(p)
     if var.is_discrete:
-        levels = _level_keys(var)
-        keys = None if levels is None else plain.keys(start, stop)
-        enc = None if keys is None else _search(levels, keys)
+        keys = plain.keys(start, stop)
+        enc = _search(_level_keys(var, keys.shape[1]), keys)
     else:
         enc = plain.decimals(start, stop)
     return _encode_plain(var, plain.column(start, stop)) if enc is None else enc
 
 
-def _search(levels: np.ndarray, cells: np.ndarray) -> np.ndarray | None:
-    """Each cell's index in ``levels`` (``int64``), or None when some cell
-    is no level."""
-    order = np.argsort(levels)
-    ordered = levels[order]
-    at = np.minimum(np.searchsorted(ordered, cells), len(ordered) - 1)
-    return order[at].astype(np.int64) if (ordered[at] == cells).all() else None
-
-
 def _encode_plain(var: VariableSchema, cells: np.ndarray) -> np.ndarray:
     """One column of ``from_raw`` from the UTF-8 bytes of its cells.
 
-    Discrete cells are found by ``searchsorted`` among the bytes of the
-    declared levels (none holds a NUL, which an ``S`` array would drop) and
-    continuous ones are read by ``float`` from their bytes.  A column with a
-    miss, a parse failure or a non-finite value is encoded from its decoded
-    ``str`` cells by ``from_raw``'s own code, which raises the same error as
-    the ``csv.reader`` path."""
-    if var.is_discrete:
-        labels = np.array([label.encode("utf-8", "surrogatepass") for label in var.levels])
-        enc = _search(labels, cells)
-        if enc is not None:
-            return enc
-    else:
+    Continuous cells are read by ``float`` from their bytes.  A discrete
+    column (which comes here only with a miss), a parse failure or a
+    non-finite value is encoded from its decoded ``str`` cells by
+    ``from_raw``'s own code, which raises the same error as the
+    ``csv.reader`` path."""
+    if not var.is_discrete:
         try:
             enc = np.fromiter(map(float, cells.tolist()), np.float64, count=len(cells))
         except ValueError:
@@ -634,29 +636,18 @@ def cap_levels(data: Dataset, coverage: float = 0.95) -> Dataset:
     return Dataset(schema=tuple(new_schema), columns=new_columns, n=data.n)
 
 
-def code_dtype(cells: int) -> np.dtype:
-    """The narrowest signed integer type that holds ``cells``: the type of
-    codes and cell indices below a cell count.  Every partial index of
-    ``joint_codes`` and ``GTestBackend._counts`` is below its cell count,
-    so none overflows."""
-    for top, dtype in _CODE_DTYPES:
-        if cells <= top:
-            return dtype
-    return np.dtype(np.int64)
-
-
 def joint_codes(columns: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
     """Row-major joint cell index over ``(codes, n_levels)`` pairs.
 
     The first column varies slowest.  ``n`` is the row count, needed when
     ``columns`` is empty (every row then falls in the single cell 0).  The
-    cell count comes first, and the index is built in place in one fresh
-    array of its ``code_dtype``, so no temporary is made per column and the
-    input code arrays are left untouched.
+    index is built in place in one fresh ``int64`` array, so no temporary
+    is made per column and the input code arrays are left untouched.
     """
-    n_cells = math.prod(levels for _, levels in columns)
-    flat = np.zeros(n, dtype=code_dtype(n_cells))
+    flat = np.zeros(n, dtype=np.int64)
+    n_cells = 1
     for codes, levels in columns:
         flat *= levels
         flat += codes
+        n_cells *= levels
     return flat, n_cells

@@ -35,28 +35,6 @@ def discrete_data(arrays: dict[str, np.ndarray], n_levels: int):
     return from_raw(schema, {n: [labels[v] for v in a] for n, a in arrays.items()})
 
 
-@pytest.mark.parametrize(
-    "levels", [(7, 31, 151), (8, 64, 64), (2, 2, 32767)], ids=["2**15-1", "2**15", "strata-2**15-1"]
-)
-def test_gtest_counts_equal_an_int64_reference_on_both_sides_of_a_type_bound(rng, levels):
-    # x, y and one conditioning column, each with every level observed.
-    n = 40000
-    arrays = {}
-    for name, k in zip("xys", levels):
-        codes = rng.integers(0, k, size=n)
-        codes[:k] = rng.permutation(k)
-        arrays[name] = codes
-    data = discrete_data(arrays, max(levels))
-    backend = GTestBackend(data)
-    (xs, nx), (ys, ny), (ss, ns) = (data.codes(v) for v in "xys")
-    assert (nx, ny, ns) == levels
-    table = backend._counts("x", "y", backend._strata(("s",)))
-    flat = (xs.astype(np.int64) * ny + ys) * ns + ss
-    expected = np.bincount(flat, minlength=nx * ny * ns).reshape(levels)
-    assert table.dtype == np.int64
-    assert np.array_equal(table, expected)
-
-
 def test_exact_independence_gives_p_one():
     # counts [[25,25],[25,25]]: empirical independence, zero statistic.
     a = [0] * 50 + [1] * 50
