@@ -5,9 +5,10 @@ Four interchangeable backends produce ``CITestResult`` values for queries
 
 * ``GTestBackend`` — likelihood-ratio test of conditional independence on
   contingency tables (the statistic is twice the sample size times the
-  plug-in conditional mutual information), chi-square reference; a batch
-  counts its tables from one strata code per conditioning set and scores
-  same-shape tables in stacks of at most ``STACK_CELLS`` cells.
+  plug-in conditional mutual information), chi-square reference; it counts
+  each variable set from the rows at most once in its life, sums every
+  other table out of a stored one, and scores a batch's tables of all
+  shapes in passes of at most ``PASS_CELLS`` cells.
 * ``FisherZBackend`` — partial-correlation z-test for all-continuous
   queries, driven by one precomputed correlation matrix; a batch inverts
   its same-size correlation blocks in one stacked ``pinv``, and a lone
@@ -29,7 +30,7 @@ injected backends are asked one by one.  A round of one is a ``test``.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -58,9 +59,9 @@ BACKEND_INJECTED = "injected"
 # Conditioning-set size cap used as the default throughout the package.
 DEFAULT_MAX_COND = 3
 DEFAULT_ALPHA = 0.05
-# Cells per stacked G-test statistic (a larger table is scored alone), so
-# that a stack's temporaries stay small.
-STACK_CELLS = 512
+# Cells per G-test scoring pass (a larger table is scored alone), so that
+# a pass's temporaries stay small.
+PASS_CELLS = 4096
 
 
 def check_settings(alpha: float, m_ci: int) -> None:
@@ -151,109 +152,186 @@ class CICache:
 class GTestBackend:
     """Conditional mutual-information test on discrete (or binned) columns.
 
-    Tables of one shape ``(nx, ny, strata)`` are scored as one stack: each
-    step of the statistic but the last sum is elementwise or an exact
-    integer sum, so it gives a table in a stack what it gives the table
-    alone, and each table's terms are then summed by one ``np.add.reduce``
-    over its own slice, in a lone table's order (``np.add.reduceat`` sums
-    in another).  ``compute`` is a stack of one.
+    Every table counted from the rows is kept for the life of the backend
+    (one learn, or one replicate), stored with its axis order under the bit
+    mask of its variable set ``{x, y} | s``, and every sub-mask of two or
+    more variables is indexed to it.  A key whose mask is indexed, in a
+    batch or alone, takes its table as an integer sum over the stored
+    table's other axes, transposed to ``(x, y, *s)``: counts are exact, so
+    every statistic is the one a fresh count gives.  The rest of a batch is
+    counted from the rows, largest conditioning sets first, each laid out
+    ``(*s, a, b)`` with ``a`` the pair member shared by most counts of the
+    same ``s``, so that one code of ``(*s, a)`` serves all of them.
+
+    A batch's tables, of any shapes, are scored together in passes of at
+    most ``PASS_CELLS`` cells (a larger table alone); ``compute`` is a batch
+    of one.
     """
 
     name = BACKEND_GTEST
 
     def __init__(self, data: Dataset):
         self.data = data
+        self._bit = {v.name: 1 << i for i, v in enumerate(data.schema)}
+        # Mask of a counted variable set -> its axis of each name, and table.
+        self._stored: dict[int, tuple[dict[str, int], np.ndarray]] = {}
+        # Mask of any set of two or more variables -> a stored mask over it.
+        self._index: dict[int, int] = {}
+        # The cell index of each row scan is built here, not allocated anew.
+        self._flat = np.empty(data.n, np.intp)
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        table = self._counts(x, y, self._strata(s))
-        return self._stacked(table.reshape(1, *table.shape[:2], -1))[0]
+        return self._scored([*self._tables([(x, y, tuple(s))]).values()])[0]
 
     def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
-        """``[compute(*key) for key in keys]``, bitwise, with fewer row scans
-        and one stacked statistic per shape.
-
-        A single key goes through ``compute``.  Otherwise each pair's
-        subsets are visited from largest to smallest; a subset with a
-        superset counted from the rows in this call takes its table as a
-        sum over that table's extra axes (integer counts, so exact).  The
-        tables counted from the rows share one strata code per conditioning
-        set.  Same-shape tables are scored in stacks of at most
-        ``STACK_CELLS`` cells; a stack of one is a view of its table."""
+        """``[compute(*key) for key in keys]``, bitwise, with no row scan
+        for a variable set the backend has counted and one scoring pass per
+        ``PASS_CELLS`` cells.  A single key goes through ``compute``."""
         if len(keys) == 1:
             return [self.compute(*keys[0])]
-        by_pair: dict[Pair, list[tuple[str, ...]]] = {}
-        for x, y, s in keys:
-            by_pair.setdefault((x, y), []).append(s)
-        from_rows: dict[tuple[str, ...], list[Pair]] = {}
-        sums = []
-        for (x, y), subsets in by_pair.items():
-            counted: list[tuple[tuple[str, ...], frozenset[str]]] = []
-            for s in sorted(dict.fromkeys(subsets), key=len, reverse=True):
-                members = frozenset(s)
-                sup = next((t for t, t_set in counted if members <= t_set), None)
-                if sup is None:
-                    from_rows.setdefault(s, []).append((x, y))
-                    counted.append((s, members))
-                else:
-                    # Both subsets are sorted, so the kept axes stay in s's order.
-                    extra = tuple(2 + i for i, v in enumerate(sup) if v not in members)
-                    sums.append(((x, y, s), (x, y, sup), extra))
-        tables: dict[QueryKey, np.ndarray] = {}
-        for s, pairs in from_rows.items():
-            strata = self._strata(s)
-            tables.update(((x, y, s), self._counts(x, y, strata)) for x, y in pairs)
-        for key, sup, extra in sums:
-            tables[key] = tables[sup].sum(axis=extra)
-        by_shape: dict[tuple[int, int, int], list[QueryKey]] = {}
-        for key, table in tables.items():
-            nx, ny = table.shape[:2]
-            by_shape.setdefault((nx, ny, table.size // (nx * ny)), []).append(key)
-        results: dict[QueryKey, CITestResult] = {}
-        for shape, group in by_shape.items():
-            step = max(1, STACK_CELLS // math.prod(shape))
-            for i in range(0, len(group), step):
-                chunk = group[i : i + step]
-                views = [tables[key].reshape(1, *shape) for key in chunk]
-                stack = views[0] if len(views) == 1 else np.concatenate(views)
-                results.update(zip(chunk, self._stacked(stack)))
-        return [results[key] for key in keys]
+        blocks = self._tables(keys)
+        results: list[CITestResult] = []
+        batch: list[np.ndarray] = []
+        nx = ny = width = 0
+        for block in blocks.values():
+            # The padded shape of the pass with this table added.
+            a, b, w = block.shape
+            a, b, w = (a if a > nx else nx), (b if b > ny else ny), width + w
+            if batch and a * b * w > PASS_CELLS:
+                results += self._scored(batch)
+                batch = []
+                a, b, w = block.shape
+            batch.append(block)
+            nx, ny, width = a, b, w
+        if batch:
+            results += self._scored(batch)
+        if len(blocks) == len(keys):
+            return results
+        by_key = dict(zip(blocks, results))
+        return [by_key[key] for key in keys]
 
-    def _strata(self, s: tuple[str, ...]) -> tuple[np.ndarray, int, list[int]]:
-        """The joint code of ``s``'s columns, its cell count and their levels."""
+    def _tables(self, keys: list[QueryKey]) -> dict[QueryKey, np.ndarray]:
+        """The table of each distinct key, in first-seen order, shaped
+        ``(nx, ny, strata)`` over the cells of ``(x, y, *s)`` in C order:
+        summed out of a stored table where one covers the key's variables,
+        else counted from the rows and stored."""
         if self.data.n == 0:
             raise DegenerateTable("cannot test on an empty dataset")
-        columns = [self.data.codes(v) for v in s]
-        code, n_strata = joint_codes(columns, self.data.n)
-        return code, n_strata, [levels for _, levels in columns]
+        bit, index, stored = self._bit, self._index, self._stored
+        masks: dict[QueryKey, int] = {}
+        try:
+            for key in keys:
+                x, y, s = key
+                mask = bit[x] | bit[y]
+                for v in s:
+                    mask |= bit[v]
+                masks[key] = mask
+        except KeyError as exc:
+            self.data.variable(exc.args[0])  # raises MissingColumn
+            raise
+        fresh: dict[tuple[str, ...], list[tuple[str, str, int]]] = {}
+        for key in sorted(
+            (key for key, mask in masks.items() if mask not in index),
+            key=lambda key: len(key[2]), reverse=True,
+        ):
+            mask = masks[key]
+            if mask in index:  # counted for a larger key of this batch
+                continue
+            x, y, s = key
+            fresh.setdefault(s, []).append((x, y, mask))
+            sub = mask
+            while sub:
+                if sub & (sub - 1):  # two or more variables
+                    index.setdefault(sub, mask)
+                sub = (sub - 1) & mask
+        for s, pairs in fresh.items():
+            self._count(s, pairs)
+        blocks = {}
+        for key, mask in masks.items():
+            pos, table = stored[index[mask]]
+            x, y, s = key
+            axes = [pos[x], pos[y], *map(pos.__getitem__, s)]
+            if len(axes) < table.ndim:  # sum out the stored table's other variables
+                extra = [*set(range(table.ndim)).difference(axes)]
+                table = np.add.reduce(table, axis=tuple(extra), keepdims=True)
+                axes += extra
+            table = table.transpose(axes)
+            blocks[key] = table.reshape(table.shape[0], table.shape[1], -1)
+        return blocks
 
-    def _counts(self, x: str, y: str, strata: tuple[np.ndarray, int, list[int]]) -> np.ndarray:
-        """Row counts of the ``(x, y, *s)`` cells, shaped ``(nx, ny, *levels)``:
-        ``x`` and then ``y`` folded in front of the strata code of ``s``, the
-        cell index ``joint_codes`` gives ``(x, y, *s)``."""
-        code, n_strata, levels = strata
-        (xs, nx), (ys, ny) = self.data.codes(x), self.data.codes(y)
-        flat = xs * ny
+    def _count(self, s: tuple[str, ...], pairs: list[tuple[str, str, int]]) -> None:
+        """Count and store the table of each pair under ``s``, shaped
+        ``(*levels, na, nb)``: the anchor ``a`` is the member of its pair in
+        more of ``pairs``, and the code of ``(*s, a)`` is made once per
+        anchor."""
+        codes, n = self.data.codes, self.data.n
+        columns = [codes(v) for v in s]
+        levels = [k for _, k in columns]
+        shared = Counter(v for x, y, _ in pairs for v in (x, y)) if len(pairs) > 1 else {}
+        by_anchor: dict[str, list[tuple[str, int]]] = {}
+        for x, y, mask in pairs:
+            a, b = (y, x) if shared and shared[y] > shared[x] else (x, y)
+            by_anchor.setdefault(a, []).append((b, mask))
+        if len(by_anchor) > 1 and len(columns) > 1:
+            columns = [joint_codes(columns, n)]
+        for a, others in by_anchor.items():
+            anchor = codes(a)
+            prefix, cells = joint_codes([*columns, anchor], n)
+            for b, mask in others:
+                table = self._counts(prefix, b, cells).reshape(*levels, anchor[1], codes(b)[1])
+                table.flags.writeable = False
+                self._stored[mask] = ({v: i for i, v in enumerate((*s, a, b))}, table)
+
+    def _counts(self, code: np.ndarray, y: str, n_cells: int) -> np.ndarray:
+        """One row scan: the counts of the cells of ``code`` over ``n_cells``
+        cells, with ``y``'s codes folded in last."""
+        ys, ny = self.data.codes(y)
+        flat = np.multiply(code, ny, out=self._flat)
         flat += ys
-        if n_strata > 1:  # one stratum has the all-zero code
-            flat *= n_strata
-            flat += code
-        return np.bincount(flat, minlength=nx * ny * n_strata).reshape(nx, ny, *levels)
+        return np.bincount(flat, minlength=n_cells * ny)
 
-    def _stacked(self, counts: np.ndarray) -> list[CITestResult]:
-        """The tests of a stack of tables shaped ``(tables, nx, ny, strata)``."""
-        _, nx, ny, _ = counts.shape
+    def _scored(self, blocks: list[np.ndarray]) -> list[CITestResult]:
+        """The tests of tables shaped ``(nx, ny, strata)``, in one pass.
+
+        The tables' strata are laid side by side in one zero-padded
+        ``(nx, ny, strata)`` block, so stratum, row and column sums are
+        exact integer sums over its axes, and every step of the statistic
+        but the last sum is elementwise, as for a lone table.  Padding
+        cells are empty, so masked out; a table's own cells keep their C
+        order, so a stable sort of the terms by table gives each its own
+        run, which one ``np.add.reduce`` sums in a lone table's order
+        (``np.add.reduceat`` sums in another)."""
         add = np.add.reduce
-        per_stratum = add(counts, axis=(1, 2), keepdims=True)
-        row = add(counts, axis=2, keepdims=True)
-        col = add(counts, axis=1, keepdims=True)
+        shapes = [block.shape for block in blocks]
+        if len(blocks) == 1:
+            counts = blocks[0]
+        elif len({shape[:2] for shape in shapes}) == 1:
+            counts = np.concatenate(blocks, axis=2)
+        else:
+            nx, ny = max(a for a, _, _ in shapes), max(b for _, b, _ in shapes)
+            counts = np.zeros((nx, ny, sum(w for *_, w in shapes)), np.int64)
+            lo = 0
+            for block, (a, b, w) in zip(blocks, shapes):
+                counts[:a, :b, lo : lo + w] = block
+                lo += w
+        per_stratum = add(counts, axis=(0, 1))
+        row = add(counts, axis=1, keepdims=True)
+        col = add(counts, axis=0, keepdims=True)
         mask = counts > 0
         ratio = (counts * per_stratum)[mask] / (row * col)[mask]
         terms = counts[mask] * np.log(ratio)
-        ends = list(accumulate(add(mask.reshape(len(counts), -1), axis=1).tolist()))
+        if len(blocks) == 1:
+            ends, strata = [len(terms)], [np.count_nonzero(per_stratum)]
+        else:
+            owner = np.repeat(np.arange(len(blocks)), [w for *_, w in shapes])
+            which = owner[np.flatnonzero(mask) % counts.shape[2]]
+            terms = terms[np.argsort(which, kind="stable")]
+            ends = list(accumulate(np.bincount(which, minlength=len(blocks)).tolist()))
+            strata = np.bincount(owner[per_stratum > 0], minlength=len(blocks)).tolist()
         statistics = [
             max(0.0, 2.0 * float(add(terms[start:end]))) for start, end in zip([0, *ends], ends)
         ]
-        dofs = ((nx - 1) * (ny - 1) * add(per_stratum > 0, axis=3).ravel()).tolist()
+        dofs = [(a - 1) * (b - 1) * k for (a, b, _), k in zip(shapes, strata)]
         p_values = special.chdtrc(dofs, statistics).tolist()
         n = self.data.n
         return [
@@ -344,6 +422,7 @@ class AutoBackend:
         self.data = data
         self._gtest = GTestBackend(data)
         self._fisherz: FisherZBackend | None = None
+        self._continuous_names = frozenset(v.name for v in data.schema if not v.is_discrete)
 
     def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
         if self._continuous(x, y, s):
@@ -362,7 +441,10 @@ class AutoBackend:
         return [results[key] for key in keys]
 
     def _continuous(self, x: str, y: str, s: tuple[str, ...]) -> bool:
-        return all(not self.data.is_discrete(v) for v in (x, y, *s))
+        """Are all of the key's variables continuous?  An unknown name is
+        not, so the G-test raises ``MissingColumn`` for it."""
+        names = self._continuous_names
+        return x in names and y in names and names.issuperset(s)
 
     def _z(self) -> FisherZBackend:
         if self._fisherz is None:

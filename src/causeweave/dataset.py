@@ -641,12 +641,15 @@ def joint_codes(columns: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarr
 
     The first column varies slowest.  ``n`` is the row count, needed when
     ``columns`` is empty (every row then falls in the single cell 0).  The
-    index is built in place in one fresh ``int64`` array, so no temporary
-    is made per column and the input code arrays are left untouched.
+    index is built in place in one ``int64`` copy of the first column, so
+    no temporary is made per column and the input code arrays are left
+    untouched.
     """
-    flat = np.zeros(n, dtype=np.int64)
-    n_cells = 1
-    for codes, levels in columns:
+    if not columns:
+        return np.zeros(n, dtype=np.int64), 1
+    (first, n_cells), *rest = columns
+    flat = first.astype(np.int64)
+    for codes, levels in rest:
         flat *= levels
         flat += codes
         n_cells *= levels

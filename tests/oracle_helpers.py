@@ -9,13 +9,21 @@ instead of the likelihood-ratio formula.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from itertools import chain, combinations
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 from scipy import special
 
-from causeweave.citest import BACKEND_FISHERZ, BACKEND_GTEST, CITestResult, OracleGraph
+from causeweave.citest import (
+    BACKEND_FISHERZ,
+    BACKEND_GTEST,
+    CITestResult,
+    GTestBackend,
+    OracleGraph,
+)
 from causeweave.dataset import QUINTILE_BINS
 
 
@@ -247,6 +255,18 @@ def reference_z_result(corr, n, block) -> CITestResult:
     statistic = math.sqrt(scale) * math.atanh(r)
     p_value = float(2.0 * special.ndtr(-abs(statistic)))
     return CITestResult(p_value, statistic, 0, BACKEND_FISHERZ)
+
+
+@contextmanager
+def row_scans():
+    """A list that gets one entry per ``GTestBackend._counts`` call (one
+    row scan) made inside the block."""
+    scans = []
+    counts = GTestBackend._counts
+    with mock.patch.object(
+        GTestBackend, "_counts", lambda self, *args: scans.append(args) or counts(self, *args)
+    ):
+        yield scans
 
 
 def count_table(data, names) -> np.ndarray:

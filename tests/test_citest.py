@@ -6,7 +6,7 @@ from scipy import special, stats
 
 from causeweave import CIEngine, make_backend
 from causeweave.citest import (
-    STACK_CELLS,
+    PASS_CELLS,
     FisherZBackend,
     GTestBackend,
     InjectedBackend,
@@ -14,11 +14,17 @@ from causeweave.citest import (
     make_backend,
 )
 from causeweave.dataset import VariableSchema, from_raw
-from causeweave.errors import MixedBackendUnsupported, UninjectedQuery
+from causeweave.errors import MissingColumn, MixedBackendUnsupported, UninjectedQuery
 from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import learn_structure
 from conftest import EXAMPLE1_ENTRIES
-from oracle_helpers import count_table, entropy_cmi, reference_g_result, reference_z_result
+from oracle_helpers import (
+    count_table,
+    entropy_cmi,
+    reference_g_result,
+    reference_z_result,
+    row_scans,
+)
 
 
 def binary_data(cols: dict[str, list[int]]):
@@ -423,9 +429,17 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
                 backend.compute_many([("t", "u", ()), ("t", "v", ("w",)), key, ("v", "w", ())])
 
 
-def test_gtest_stacks_split_at_the_cap(rng, monkeypatch):
-    """More same-shape tables than one stack holds, in one call with other
-    shapes, empty strata and dof-0 tables: every result is the reference's."""
+def padded_cells(blocks) -> int:
+    """Cells of the zero-padded block one G-test pass scores ``blocks`` in."""
+    return (max(b.shape[0] for b in blocks) * max(b.shape[1] for b in blocks)
+            * sum(b.shape[2] for b in blocks))
+
+
+def test_gtest_passes_split_at_the_cap(rng, monkeypatch):
+    """A batch of more cells than one pass holds, of several shapes, with
+    empty strata and dof-0 tables: it is scored in passes filled up to the
+    cap in batch order, each of several shapes, and every result is the
+    reference's."""
     n = 500
     names = [f"b{i:02d}" for i in range(18)]
     cols = {name: rng.integers(0, 2, size=n) for name in names}
@@ -434,22 +448,107 @@ def test_gtest_stacks_split_at_the_cap(rng, monkeypatch):
     data = discrete_data(cols, 2)
     keys = [canonical_key(x, y) for i, x in enumerate(names) for y in names[i + 1 :]]
     keys += [canonical_key(x, y, ("b00", "dup")) for x, y in zip(names[1:6], names[6:11])]
+    for s in (("b13", "b14"), ("b15", "b16", "b17"), ("b01", "b02", "b03"), ("b04", "b05", "b06")):
+        rest = [v for v in names if v not in s]
+        keys += [canonical_key(x, y, s) for i, x in enumerate(rest) for y in rest[i + 1 :]]
     keys += [canonical_key("one", y, s) for y, s in (("b01", ()), ("b02", ("b03",)))]
     keys = [keys[i] for i in rng.permutation(len(keys))]
     backend = GTestBackend(data)
-    sizes = []
-    chdtrc = special.chdtrc
-    monkeypatch.setattr(special, "chdtrc", lambda k, x: sizes.append(np.size(x)) or chdtrc(k, x))
+    passes = []
+    scored = GTestBackend._scored
+    monkeypatch.setattr(
+        GTestBackend, "_scored", lambda self, blocks: passes.append(blocks) or scored(self, blocks)
+    )
     got = backend.compute_many(keys)
-    # 153 marginal 2x2 tables: a full stack of STACK_CELLS // 4, then the rest.
-    per_stack = STACK_CELLS // 4
-    assert per_stack in sizes and max(sizes) == per_stack and sum(sizes) == len(keys)
+    assert sum(map(len, passes)) == len(keys)
+    assert padded_cells([b for blocks in passes for b in blocks]) > 2 * PASS_CELLS
+    # Each pass holds at most PASS_CELLS cells, and the next table would not fit.
+    assert all(padded_cells(blocks) <= PASS_CELLS for blocks in passes)
+    assert all(padded_cells([*blocks, after[0]]) > PASS_CELLS
+               for blocks, after in zip(passes, passes[1:]))
+    assert all(len({b.shape for b in blocks}) > 1 for blocks in passes)
     for key, result in zip(keys, got):
         table = count_table(data, (key[0], key[1], *key[2]))
         assert bits(result) == bits(reference_g_result(table, n)) == bits(backend.compute(*key))
     empty = [r for k, r in zip(keys, got) if k[2] == ("b00", "dup")]
     assert all(r.dof == 2 for r in empty)  # two of the four strata hold rows
     assert [r.dof for k, r in zip(keys, got) if "one" in k] == [0, 0]
+
+
+def test_gtest_lone_compute_sums_out_a_table_a_batch_counted(rng):
+    n = 300
+    data = edge_case_data(rng, n)
+    backend = GTestBackend(data)
+    backend.compute_many([canonical_key("a", "b", ("c", "d")), canonical_key("a", "e")])
+    with row_scans() as scans:
+        # The same variable set as another pair, and subsets of it across pairs.
+        for x, y, s in [("c", "d", ("a", "b")), ("a", "c", ("b", "d")), ("b", "d", ()),
+                        ("a", "b", ("c",)), ("d", "b", ("a",))]:
+            table = count_table(data, (x, y, *s))
+            assert bits(backend.compute(x, y, s)) == bits(reference_g_result(table, n))
+        assert scans == []
+        backend.compute("a", "b", ("e",))  # no stored table covers a, b and e
+        assert len(scans) == 1
+
+
+@pytest.mark.parametrize("kind", ["auto", "gtest"])
+def test_an_unknown_name_raises_missing_column_alone_and_in_a_batch(rng, kind):
+    backend = make_backend(edge_case_data(rng, 50), kind)
+    for key in [("a", "nope", ()), ("nope", "u", ()), ("u", "w", ("nope",))]:
+        with pytest.raises(MissingColumn, match="no variable named 'nope'"):
+            backend.compute(*key)
+        with pytest.raises(MissingColumn, match="no variable named 'nope'"):
+            backend.compute_many([("a", "b", ()), ("u", "w", ()), key])
+    # A failed batch stores nothing: the same backend still answers.
+    assert backend.compute_many([("a", "b", ()), ("a", "c", ("b",))])[0].backend == "gtest"
+
+
+@st.composite
+def store_sequences(draw):
+    """A discrete dataset and a sequence of steps on one backend, each a
+    batch or a run of lone keys.  Columns declare 2-5 levels and rows take
+    1-5 of them (one taken level gives dof 0); with at most 60 rows, some
+    strata are empty.  A step's keys are pairs and conditioning sets drawn
+    from one set of two to five variables, so they nest across pairs."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = [f"v{i}" for i in range(draw(st.integers(4, 6)))]
+    schema, raw = [], {}
+    for name in names:
+        labels = tuple(str(i) for i in range(draw(st.integers(2, 5))))
+        taken = draw(st.integers(1, len(labels)))
+        schema.append(VariableSchema(name, "categorical", labels))
+        raw[name] = [labels[v] for v in rng.integers(0, taken, size=n)]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.lists(st.sampled_from(names), min_size=2, max_size=5, unique=True))
+        members = st.lists(st.sampled_from(base), min_size=2, max_size=len(base), unique=True)
+        drawn = draw(st.lists(members, min_size=1, max_size=6))
+        keys = [canonical_key(x, y, s) for x, y, *s in drawn]
+        steps.append((draw(st.booleans()), keys))
+    return from_raw(tuple(schema), raw), steps
+
+
+@given(store_sequences())
+@settings(max_examples=60, deadline=None)
+def test_gtest_store_answers_bitwise_as_a_fresh_count(case):
+    data, steps = case
+    backend = GTestBackend(data)
+    asked = set()
+    with row_scans() as scans:
+        for lone, keys in steps:
+            got = [backend.compute(*key) for key in keys] if lone else backend.compute_many(keys)
+            for (x, y, s), result in zip(keys, got):
+                table = count_table(data, (x, y, *s))
+                assert bits(result) == bits(reference_g_result(table, data.n)), (x, y, s)
+                asked.add(frozenset((x, y, *s)))
+            assert len(scans) <= len(asked)
+        # Every variable set asked is stored now: asking again scans no row.
+        before = len(scans)
+        keys = [key for _, step in steps for key in step]
+        backend.compute_many(keys)
+        backend.compute(*keys[-1])
+        assert len(scans) == before
 
 
 def test_p_values_matches_one_by_one_tests(rng):

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from causeweave import CIEngine, InjectedBackend, OracleBackend, maximize, skeleton_orient
-from causeweave.citest import STACK_CELLS, GTestBackend, make_backend
+from causeweave.citest import PASS_CELLS, GTestBackend, make_backend
 from causeweave.dataset import Dataset, VariableSchema, from_raw
 from causeweave.forward import ForwardSearch
 from causeweave.pcstable import pc_stable
@@ -239,9 +239,9 @@ def test_wide_fisherz_replay_stacks_fifty_and_more(monkeypatch):
     assert max(stacks) >= 50
 
 
-def test_gtest_replay_mixes_shapes_and_splits_stacks(monkeypatch):
+def test_gtest_replay_mixes_shapes_and_splits_passes(monkeypatch):
     calls, inside = [], []
-    compute_many, stacked = GTestBackend.compute_many, GTestBackend._stacked
+    compute_many, scored = GTestBackend.compute_many, GTestBackend._scored
 
     def spy_many(self, keys):
         calls.append([])
@@ -251,24 +251,24 @@ def test_gtest_replay_mixes_shapes_and_splits_stacks(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_stacked(self, counts):
+    def spy_scored(self, blocks):
         if inside:
-            calls[-1].append(counts.shape)
-        return stacked(self, counts)
+            calls[-1].append([block.shape for block in blocks])
+        return scored(self, blocks)
 
     monkeypatch.setattr(GTestBackend, "compute_many", spy_many)
-    monkeypatch.setattr(GTestBackend, "_stacked", spy_stacked)
+    monkeypatch.setattr(GTestBackend, "_scored", spy_scored)
     batched, reference, graph, expected = replay("gtest-levels", 4)
     assert_replayed(batched, reference, graph, expected)
-    shapes = [[shape[1:] for shape in call] for call in calls]
-    # One call scored tables of several shapes ...
-    assert any(len(set(call)) > 1 for call in shapes)
-    # ... and one split a shape into several stacks at the cap.
-    assert any(len(set(call)) < len(call) for call in shapes)
-    # A stack of several tables holds at most STACK_CELLS cells.
+    # One pass scored tables of several shapes ...
+    assert any(len(set(shapes)) > 1 for call in calls for shapes in call)
+    # ... and one call split its tables into several passes at the cap.
+    assert any(len(call) > 1 for call in calls)
+    # A pass of several tables holds at most PASS_CELLS cells once padded.
     assert max(
-        math.prod(shape) for call in calls for shape in call if shape[0] > 1
-    ) <= STACK_CELLS
+        max(a for a, _, _ in shapes) * max(b for _, b, _ in shapes) * sum(w for *_, w in shapes)
+        for call in calls for shapes in call if len(shapes) > 1
+    ) <= PASS_CELLS
 
 
 def test_gtest_replay_with_fewer_rows_than_dof():
