@@ -1,9 +1,9 @@
 """Constraint-based causal structure learning toolkit.
 
 Two-step neighborhood discovery (forward candidate enumeration + minimax
-selection), full CPDAG orientation with prior knowledge, an
-order-independent PC-style baseline, decomposable-criterion scoring, and a
-Monte-Carlo benchmark harness.
+selection), orientation by prior knowledge, colliders, a directed-path rule
+and Meek's R1 (no R3 or R4), an order-independent PC-style baseline,
+decomposable-criterion scoring, and a Monte-Carlo benchmark harness.
 """
 
 from .citest import (

@@ -123,9 +123,6 @@ class CICache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def lookup_many(
         self, keys: list[QueryKey]
     ) -> tuple[dict[QueryKey, CITestResult], list[QueryKey]]:
@@ -595,19 +592,17 @@ class InjectedBackend:
 
     @classmethod
     def from_entries(cls, entries) -> "InjectedBackend":
-        """Build from an iterable of ``(x, y, s, p)`` tuples or of mappings
-        with keys ``x``, ``y``, ``p`` and an optional ``s``.  Raises
-        ``ValueError`` for a missing or unknown key, a name that is not a
-        string, ``s`` given as a bare string, a p-value that is not a number
-        in [0, 1], or a query given twice."""
+        """Build from an iterable of mappings with keys ``x``, ``y``, ``p`` and
+        an optional ``s``.  Raises ``ValueError`` for an entry that is not a
+        mapping, a missing or unknown key, a name that is not a string, ``s``
+        given as a bare string, a p-value that is not a number in [0, 1], or a
+        query given twice."""
         table: dict[QueryKey, float] = {}
         for entry in entries:
-            if isinstance(entry, dict):
-                if not {"x", "y", "p"} <= entry.keys() <= {"x", "y", "s", "p"}:
-                    raise ValueError(f"injected entry needs keys x, y, p and optional s: {entry!r}")
-                entry = (entry["x"], entry["y"], entry.get("s", ()), entry["p"])
-            if not isinstance(entry, (tuple, list)) or len(entry) != 4:
-                raise ValueError(f"injected entry must be (x, y, s, p): {entry!r}")
+            keys = entry.keys() if isinstance(entry, dict) else set()
+            if not {"x", "y", "p"} <= keys <= {"x", "y", "s", "p"}:
+                raise ValueError(f"injected entry needs keys x, y, p and optional s: {entry!r}")
+            entry = (entry["x"], entry["y"], entry.get("s", ()), entry["p"])
             x, y, s, p = entry
             if not isinstance(s, (tuple, list)) or not all(isinstance(v, str) for v in (x, y, *s)):
                 raise ValueError(f"injected query needs names x, y and a list s: {entry!r}")
@@ -666,11 +661,8 @@ class CIEngine:
             self.cache.store(key, found[key])
         return found[key]
 
-    def p_value(self, x: str, y: str, s=()) -> float:
-        return self.test(x, y, s).p_value
-
     def p_values(self, x: str, queries) -> list[float]:
-        """``[p_value(x, y, s) for y, s in queries]``, asked as one round:
+        """``[test(x, y, s).p_value for y, s in queries]``, asked as one round:
         every query is checked and canonicalized first, then ``ask``-ed."""
         return self.ask([canonical_key(x, y, s) for y, s in queries])
 

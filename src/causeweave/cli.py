@@ -81,19 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p_learn, ("json", "dot"))
     p_learn.set_defaults(run=cmd_learn)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo recovery benchmark")
+    # An option not given is left out, and the kind's config supplies its default.
+    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo recovery benchmark",
+                           argument_default=argparse.SUPPRESS)
     p_sim.add_argument("--kind", choices=("continuous", "categorical"), default="categorical")
-    p_sim.add_argument("--k", type=int, default=20, help="number of variables")
-    p_sim.add_argument("--n", type=int, default=500, help="sample size per replicate")
-    p_sim.add_argument("--rho", type=float, default=0.04, help="edge probability (continuous)")
-    p_sim.add_argument("--theta", type=float, default=0.5, help="signal strength (continuous)")
-    p_sim.add_argument("--levels", type=int, default=2, help="levels per variable (categorical)")
-    p_sim.add_argument("--max-parents", type=int, default=3, dest="max_parents")
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--no-bic", action="store_true", help="skip criterion scoring (categorical)")
+    p_sim.add_argument("--k", type=int, help="number of variables")
+    p_sim.add_argument("--n", type=int, help="sample size per replicate")
+    p_sim.add_argument("--rho", type=float, help="edge probability (continuous)")
+    p_sim.add_argument("--theta", type=float, help="signal strength (continuous)")
+    p_sim.add_argument("--levels", type=int, help="levels per variable (categorical)")
+    p_sim.add_argument("--max-parents", type=int, dest="max_parents",
+                       help="parent cap per variable (categorical)")
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--no-bic", action="store_false", dest="compute_bic",
+                       help="skip criterion scoring (categorical)")
     _add_ci(p_sim)
-    p_sim.add_argument("--seed", type=int, default=0, help="master random seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p_sim.add_argument("--seed", type=int, help="master random seed")
+    p_sim.add_argument("--threads", type=int, help="worker processes")
     _add_out(p_sim, ("json", "csv"))
     p_sim.set_defaults(run=cmd_simulate)
 
@@ -190,19 +194,20 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.kind == "continuous":
-        sim_cfg = ContinuousSimConfig(
-            k=args.k, n=args.n, rho=args.rho, theta=args.theta, reps=args.reps,
-            alpha=args.alpha, m_ci=args.m_ci, seed=args.seed, threads=args.threads,
-        )
-        reports = run_continuous_experiment(sim_cfg)
-    else:
-        sim_cfg = CategoricalSimConfig(
-            k=args.k, n=args.n, levels=args.levels, max_parents=args.max_parents,
-            reps=args.reps, alpha=args.alpha, m_ci=args.m_ci, seed=args.seed,
-            threads=args.threads, compute_bic=not args.no_bic,
-        )
-        reports = run_categorical_experiment(sim_cfg)
+    config, experiment = (
+        (ContinuousSimConfig, run_continuous_experiment)
+        if args.kind == "continuous"
+        else (CategoricalSimConfig, run_categorical_experiment)
+    )
+    fields = {f.name for f in dataclasses.fields(config)}
+    own = ("command", "run", "kind", "out", "fmt")
+    given = {key: value for key, value in vars(args).items() if key not in own}
+    extra = [name for name in given if name not in fields]
+    if extra:
+        flag = "--no-bic" if extra[0] == "compute_bic" else "--" + extra[0].replace("_", "-")
+        raise ValueError(f"{flag} must be left out with --kind {args.kind}")
+    sim_cfg = config(**given)
+    reports = experiment(sim_cfg)
     echo = {
         "bic" if key == "compute_bic" else key: value
         for key, value in dataclasses.asdict(sim_cfg).items()

@@ -216,42 +216,25 @@ def _encode_column(var: VariableSchema, cells) -> np.ndarray:
     """One column of ``from_raw``."""
     if var.is_discrete:
         index = {label: i for i, label in enumerate(var.levels)}
-        try:
-            return np.fromiter(map(index.__getitem__, cells), np.int64, count=len(cells))
-        except (KeyError, TypeError):
-            return _encode_levels(var, index, cells)
+        fast, slow, dtype = index.__getitem__, lambda cell: index[str(cell)], np.int64
+        problem = "is not a declared level"
+    else:
+        fast = slow = float
+        dtype, problem = np.float64, "is not numeric"
     try:
-        enc = np.fromiter(map(float, cells), np.float64, count=len(cells))
-    except (TypeError, ValueError):
-        enc = _encode_numbers(var, cells)
-    bad = np.flatnonzero(~np.isfinite(enc))
-    if bad.size:
-        i = int(bad[0])
-        raise UnknownLevel(f"{var.name}: value {cells[i]!r} (row {i + 1}) is not finite")
-    return enc
-
-
-def _encode_levels(var: VariableSchema, index: dict[str, int], cells) -> np.ndarray:
-    enc = np.empty(len(cells), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        try:
-            enc[i] = index[str(cell)]
-        except KeyError:
-            raise UnknownLevel(
-                f"{var.name}: value {cell!r} (row {i + 1}) is not a declared level"
-            ) from None
-    return enc
-
-
-def _encode_numbers(var: VariableSchema, cells) -> np.ndarray:
-    enc = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        try:
-            enc[i] = float(cell)
-        except (TypeError, ValueError):
-            raise UnknownLevel(
-                f"{var.name}: value {cell!r} (row {i + 1}) is not numeric"
-            ) from None
+        enc = np.fromiter(map(fast, cells), dtype, count=len(cells))
+    except (KeyError, TypeError, ValueError):
+        enc = np.empty(len(cells), dtype=dtype)
+        for i, cell in enumerate(cells):
+            try:
+                enc[i] = slow(cell)
+            except (KeyError, TypeError, ValueError):
+                raise UnknownLevel(f"{var.name}: value {cell!r} (row {i + 1}) {problem}") from None
+    if not var.is_discrete:
+        bad = np.flatnonzero(~np.isfinite(enc))
+        if bad.size:
+            i = int(bad[0])
+            raise UnknownLevel(f"{var.name}: value {cells[i]!r} (row {i + 1}) is not finite")
     return enc
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .citest import pair_key
 from .dataset import Dataset, joint_codes
 from .errors import MissingColumn
 from .skeleton_orient import Cpdag, orient
@@ -117,11 +116,10 @@ def dag_extension(g: Cpdag) -> Cpdag:
     """
     work = orient(replace(g, sepsets={}), None)
     while work.undirected:
-        a, b = min(work.undirected)
-        if work.has_directed_path(b, a):
-            a, b = b, a
-        work.undirected.discard(pair_key(a, b))
-        work.directed.add((a, b))
+        # ``orient`` left no undirected edge along a directed path: no cycle.
+        edge = min(work.undirected)
+        work.undirected.remove(edge)
+        work.directed.add(edge)
         work = orient(work, None)
     return work
 

@@ -255,12 +255,10 @@ def evaluate_recovery(
     """
     if not learned:
         raise ValueError("no learned graphs given")
-    truths = (
-        list(true_dag) if isinstance(true_dag, (list, tuple)) else [true_dag] * len(learned)
-    )
+    shared_truth = not isinstance(true_dag, (list, tuple))
+    truths = [true_dag] * len(learned) if shared_truth else list(true_dag)
     if len(truths) != len(learned):
         raise VertexMismatch("one true graph per learned graph required")
-    shared_truth = all(t is truths[0] for t in truths)
 
     verts = sorted(truths[0].vertices)
     pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]

@@ -291,13 +291,15 @@ class Cpdag:
         )
 
     def to_dot(self) -> str:
+        """DOT text; a name is quoted, with ``\\`` and ``"`` escaped."""
+        q = {v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in self.vertices}
         lines = ["digraph learned {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {q[v]};")
         for a, b in sorted(self.directed):
-            lines.append(f'  "{a}" -> "{b}"{self._dot_attr(a, b)};')
+            lines.append(f"  {q[a]} -> {q[b]}{self._dot_attr(a, b)};")
         for a, b in sorted(self.undirected):
-            lines.append(f'  "{a}" -- "{b}"{self._dot_attr(a, b)};')
+            lines.append(f"  {q[a]} -- {q[b]}{self._dot_attr(a, b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -306,10 +308,16 @@ class Cpdag:
         return f" [pvalue={p!r}]" if p is not None else ""
 
 
+_DOT_NAME = r'"((?:[^"\\]|\\.)+)"'  # a quoted name; \\ and \" are escapes
 _DOT_EDGE = re.compile(
-    r'^\s*"(?P<a>[^"]+)"\s*(?P<op>->|--)\s*"(?P<b>[^"]+)"\s*(?:\[pvalue=(?P<p>[^\]]+)\])?\s*;\s*$'
+    rf"^\s*{_DOT_NAME}\s*(->|--)\s*{_DOT_NAME}\s*(?:\[pvalue=([^\]]+)\])?\s*;\s*$"
 )
-_DOT_VERTEX = re.compile(r'^\s*"(?P<v>[^"]+)"\s*;\s*$')
+_DOT_VERTEX = re.compile(rf"^\s*{_DOT_NAME}\s*;\s*$")
+
+
+def _dot_unquote(name: str) -> str:
+    """Undo ``to_dot``'s escapes; any other backslash is kept as it is."""
+    return re.sub(r'\\([\\"])', r"\1", name)
 
 
 def cpdag_from_dot(text: str) -> Cpdag:
@@ -329,19 +337,20 @@ def cpdag_from_dot(text: str) -> Cpdag:
             continue
         m = _DOT_EDGE.match(line)
         if m:
-            a, b = m.group("a"), m.group("b")
+            a, op, b, p = m.groups()
+            a, b = _dot_unquote(a), _dot_unquote(b)
             note(a)
             note(b)
-            if m.group("op") == "->":
+            if op == "->":
                 directed.add((a, b))
             else:
                 undirected.add(pair_key(a, b))
-            if m.group("p") is not None:
-                significance[pair_key(a, b)] = float(m.group("p"))
+            if p is not None:
+                significance[pair_key(a, b)] = float(p)
             continue
         m = _DOT_VERTEX.match(line)
         if m:
-            note(m.group("v"))
+            note(_dot_unquote(m.group(1)))
             continue
         raise ValueError(f"unparseable DOT line: {line!r}")
     return Cpdag(

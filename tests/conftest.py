@@ -8,12 +8,12 @@ from causeweave import CIEngine, InjectedBackend
 # p-value pattern of the three-variable motivating case: both Y and Z are
 # marginally associated with X, yet each renders X independent of the other.
 EXAMPLE1_ENTRIES = [
-    ("X", "Y", (), 0.01),
-    ("X", "Z", (), 0.02),
-    ("X", "Y", ("Z",), 0.30),
-    ("X", "Z", ("Y",), 0.20),
-    ("Y", "Z", (), 0.001),
-    ("Y", "Z", ("X",), 0.001),
+    {"x": "X", "y": "Y", "s": [], "p": 0.01},
+    {"x": "X", "y": "Z", "s": [], "p": 0.02},
+    {"x": "X", "y": "Y", "s": ["Z"], "p": 0.30},
+    {"x": "X", "y": "Z", "s": ["Y"], "p": 0.20},
+    {"x": "Y", "y": "Z", "s": [], "p": 0.001},
+    {"x": "Y", "y": "Z", "s": ["X"], "p": 0.001},
 ]
 
 

@@ -141,7 +141,7 @@ def random_ptable(variables, rng) -> dict:
 
 
 def ptable_entries(table):
-    return [(a, b, list(s), p) for (a, b, s), p in sorted(table.items())]
+    return [{"x": a, "y": b, "s": list(s), "p": p} for (a, b, s), p in sorted(table.items())]
 
 
 def lookup(table, x, y, s=()):

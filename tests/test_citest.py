@@ -19,6 +19,7 @@ from causeweave.simgen import LinearSemSpec, gen_linear_sem, make_discrete_net
 from causeweave.skeleton_orient import learn_structure
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import (
+    cache_dump,
     count_table,
     entropy_cmi,
     reference_g_result,
@@ -166,7 +167,7 @@ def test_cache_counters_and_symmetry():
     again = engine.test("Y", "X", ("Z",))
     assert first == again
     assert engine.cache.misses == 1 and engine.cache.hits == 1
-    assert len(engine.cache) == 1
+    assert len(cache_dump(engine)) == 1
 
 
 def test_canonical_key_validation():
@@ -182,28 +183,32 @@ def test_canonical_key_validation():
 def test_injected_backend_contract():
     backend = InjectedBackend.from_entries(EXAMPLE1_ENTRIES)
     engine = CIEngine(backend)
-    assert engine.p_value("X", "Y") == 0.01
-    assert engine.p_value("Y", "X") == 0.01  # symmetric lookup
+    assert engine.test("X", "Y").p_value == 0.01
+    assert engine.test("Y", "X").p_value == 0.01  # symmetric lookup
     with pytest.raises(UninjectedQuery):
         CIEngine(InjectedBackend.from_entries([])).test("X", "Y")
     with pytest.raises(ValueError, match="duplicate"):
-        InjectedBackend.from_entries([("X", "Y", (), 0.5), ("Y", "X", (), 0.5)])
-    # Python tuples take any sequence of names for s and an int p.
-    assert InjectedBackend.from_entries([("X", "Z", ["Y"], 1)]).table == {("X", "Z", ("Y",)): 1.0}
+        InjectedBackend.from_entries(
+            [{"x": "X", "y": "Y", "p": 0.5}, {"x": "Y", "y": "X", "p": 0.5}]
+        )
+    # An integer p is a number too.
+    assert InjectedBackend.from_entries([{"x": "X", "y": "Z", "s": ["Y"], "p": 1}]).table == {
+        ("X", "Z", ("Y",)): 1.0
+    }
 
 
 def test_example1_rejection_pattern(example1_engine):
     alpha = 0.05
-    assert example1_engine.p_value("X", "Y") <= alpha  # rejected
-    assert example1_engine.p_value("X", "Z") <= alpha  # rejected
-    assert example1_engine.p_value("X", "Y", ("Z",)) > alpha  # not rejected
-    assert example1_engine.p_value("X", "Z", ("Y",)) > alpha  # not rejected
+    assert example1_engine.test("X", "Y").p_value <= alpha  # rejected
+    assert example1_engine.test("X", "Z").p_value <= alpha  # rejected
+    assert example1_engine.test("X", "Y", ("Z",)).p_value > alpha  # not rejected
+    assert example1_engine.test("X", "Z", ("Y",)).p_value > alpha  # not rejected
 
 
 def test_trace_records_queries(example1_engine):
     with example1_engine.trace() as log:
-        example1_engine.p_value("X", "Y")
-        example1_engine.p_value("Y", "X")
+        example1_engine.test("X", "Y")
+        example1_engine.test("Y", "X")
     assert log == [("X", "Y", ()), ("X", "Y", ())]
 
 
@@ -568,7 +573,7 @@ def test_p_values_matches_one_by_one_tests(rng):
     with batched.trace() as batched_log, single.trace() as single_log:
         for x, queries in batches:
             got = batched.p_values(x, queries)
-            assert got == [single.p_value(x, y, s) for y, s in queries]
+            assert got == [single.test(x, y, s).p_value for y, s in queries]
     assert batched_log == single_log
     assert list(batched.cache._store) == list(single.cache._store)
     assert (batched.cache.hits, batched.cache.misses) == (single.cache.hits, single.cache.misses)

@@ -29,8 +29,8 @@ from oracle_helpers import cache_dump, decode, full_scan_q_value, ptable_entries
 
 
 def write_injected(path, entries):
-    """Write ``(x, y, s, p)`` entries as an injected-results file."""
-    path.write_text(json.dumps([{"x": x, "y": y, "s": list(s), "p": p} for x, y, s, p in entries]))
+    """Write ``{"x", "y", "s", "p"}`` entries as an injected-results file."""
+    path.write_text(json.dumps(entries))
     return str(path)
 
 
@@ -192,6 +192,12 @@ def test_learn_cap_levels_flag(tmp_path, capsys):
         ["simulate", "--threads", "0"],
         ["simulate", "--k", "1", "--kind", "categorical"],
         ["simulate", "--k", "1", "--kind", "continuous"],
+        # An option of the other kind.
+        ["simulate", "--levels", "7", "--kind", "continuous"],
+        ["simulate", "--max-parents", "9", "--kind", "continuous"],
+        ["simulate", "--no-bic", "--kind", "continuous"],
+        ["simulate", "--rho", "0.1"],
+        ["simulate", "--theta", "1", "--kind", "categorical"],
         ["export", "--max-distance", "0"],
         ["export", "--max-distance", "-3"],
     ],

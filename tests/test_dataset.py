@@ -146,13 +146,25 @@ def test_cap_levels_merges_rare():
     assert var.levels == ("l0", "l1", "l2", "l3", "Others")
     freq = np.bincount(capped.columns["a"], minlength=5)
     assert freq.tolist() == [60, 20, 10, 6, 4]
+    # A kept level that already bears the residual label is refused.
+    clash = ("l0", "Others", *labels[2:])
+    data = from_raw(
+        (VariableSchema("a", "categorical", clash),), {"a": [clash[i] for i in data.columns["a"]]}
+    )
+    with pytest.raises(SchemaError, match="a: residual label 'Others' already a level"):
+        cap_levels(data, coverage=0.95)
 
 
 def test_cap_levels_noop_when_single_merge():
-    data = from_raw(
-        (VariableSchema("a", "categorical", ("x", "y")),), {"a": ["x"] * 99 + ["y"]}
-    )
-    assert cap_levels(data, coverage=0.95).variable("a").levels == ("x", "y")
+    # A continuous column, and with no rows every column, is left as it is.
+    for rows in (100, 0):
+        data = from_raw(
+            (VariableSchema("a", "categorical", ("x", "y")), VariableSchema("c", "continuous")),
+            {"a": (["x"] * 99 + ["y"])[:rows], "c": [0.5] * rows},
+        )
+        capped = cap_levels(data, coverage=0.95)
+        assert capped.schema == data.schema
+        assert all(capped.columns[v] is data.columns[v] for v in ("a", "c"))
 
 
 def test_build_table_all_cells():

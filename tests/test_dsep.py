@@ -134,10 +134,10 @@ def test_oracle_graphoid_implication(rng):
                     rest = [v for v in verts if v not in (x, y, w)]
                     for s in all_subsets(rest, max_size=1):
                         if (
-                            eng.p_value(x, y, s) == 1.0
-                            and eng.p_value(x, w, (*s, y)) == 1.0
+                            eng.test(x, y, s).p_value == 1.0
+                            and eng.test(x, w, (*s, y)).p_value == 1.0
                         ):
                             checked += 1
-                            assert eng.p_value(x, w, s) == 1.0
-                            assert eng.p_value(x, y, (*s, w)) == 1.0
+                            assert eng.test(x, w, s).p_value == 1.0
+                            assert eng.test(x, y, (*s, w)).p_value == 1.0
     assert checked > 50  # the implication premise fired often enough

@@ -43,8 +43,11 @@ def test_example1_family(example1_engine):
 
 
 def test_isolated_target_yields_empty_set_family():
-    entries = [("X", "Y", (), 0.9), ("X", "Z", (), 0.8), ("Y", "Z", (), 0.9),
-               ("X", "Y", ("Z",), 0.9), ("X", "Z", ("Y",), 0.9), ("Y", "Z", ("X",), 0.9)]
+    entries = [
+        {"x": "X", "y": "Y", "p": 0.9}, {"x": "X", "y": "Z", "p": 0.8},
+        {"x": "Y", "y": "Z", "p": 0.9}, {"x": "X", "y": "Y", "s": ["Z"], "p": 0.9},
+        {"x": "X", "y": "Z", "s": ["Y"], "p": 0.9}, {"x": "Y", "y": "Z", "s": ["X"], "p": 0.9},
+    ]
     fam = forward_step("X", VARS3, CIEngine(InjectedBackend.from_entries(entries)), alpha=0.05)
     assert tuple(map(frozenset, fam.family)) == (frozenset(),)
 
@@ -248,9 +251,7 @@ def test_budget_exceeded_at_scale(budget_table, monkeypatch):
 def test_cli_learn_budget_exceeded_exits_1(budget_table, monkeypatch, tmp_path, capsys):
     table, admissible_sets = budget_table
     data = tmp_path / "injected.json"
-    data.write_text(json.dumps(
-        [{"x": x, "y": y, "s": s, "p": p} for x, y, s, p in ptable_entries(table)]
-    ))
+    data.write_text(json.dumps(ptable_entries(table)))
     budget = admissible_sets // 2
     monkeypatch.setattr("causeweave.forward.BUDGET", budget)
     out = tmp_path / "graph"

@@ -31,7 +31,8 @@ def test_example1_contrast(example1_engine):
 
 
 def test_fully_independent_gives_empty_graph():
-    entries = [("A", "B", (), 0.9), ("A", "C", (), 0.7), ("B", "C", (), 0.8)]
+    entries = [{"x": "A", "y": "B", "p": 0.9}, {"x": "A", "y": "C", "p": 0.7},
+               {"x": "B", "y": "C", "p": 0.8}]
     skeleton = pc_stable_skeleton(["A", "B", "C"], CIEngine(InjectedBackend.from_entries(entries)))
     assert skeleton.skeleton_pairs() == set()
     assert len(skeleton.sepsets) == 3  # every deleted pair keeps its separator

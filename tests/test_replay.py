@@ -56,7 +56,7 @@ def plain_extensions(search, level):
     tests, before the next candidate."""
 
     def dependent(other, cond):
-        return search.engine.p_value(search.target, other, cond) <= search.alpha
+        return search.engine.test(search.target, other, cond).p_value <= search.alpha
 
     results = []
     for s in level:
@@ -153,7 +153,10 @@ def injected_entries(names, seed, zero_pairs):
     selection's first candidate (floor 0.0) can stop early too."""
     table = random_ptable(names, np.random.default_rng(seed))
     return [
-        (a, b, s, 0.0 if zero_pairs and (int(a[1:]) + int(b[1:])) % 5 == 0 else p**6)
+        {
+            "x": a, "y": b, "s": s,
+            "p": 0.0 if zero_pairs and (int(a[1:]) + int(b[1:])) % 5 == 0 else p**6,
+        }
         for (a, b, s), p in table.items()
     ]
 
@@ -206,7 +209,7 @@ def assert_replayed(batched, reference, graph, expected):
 def test_batched_queries_replay_bitwise(kind, seed):
     batched, reference, graph, expected = replay(kind, seed)
     assert_replayed(batched, reference, graph, expected)
-    assert len(batched.cache) > 150
+    assert len(cache_dump(batched)) > 150
 
 
 @pytest.mark.parametrize("kind", ["gtest", "fisherz", "auto", "injected", "oracle"])

@@ -7,7 +7,8 @@ from causeweave import CIEngine, bic_of_graph, fit_local, make_backend
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.errors import MissingColumn
 from causeweave.score import dag_extension
-from causeweave.skeleton_orient import Cpdag, SeparationRecord
+from causeweave.skeleton_orient import Cpdag, SeparationRecord, orient
+from oracle_helpers import random_dag
 
 
 def binary_counts_data(counts):
@@ -162,6 +163,20 @@ def test_dag_extension_orients_everything():
     assert ext.undirected == set()
     assert ext.is_acyclic()
     assert ext.skeleton_pairs() == g.skeleton_pairs()
+
+
+def test_orient_leaves_no_undirected_edge_along_a_directed_path(rng):
+    # ``dag_extension`` directs an undirected edge of ``orient``'s output as
+    # it is stored; this invariant is why that never closes a cycle.
+    left = 0
+    for _ in range(300):
+        dag = random_dag(int(rng.integers(3, 9)), rng, edge_prob=0.4)
+        directed = {e for e in sorted(dag.edges) if rng.random() < 0.5}
+        g = orient(Cpdag(dag.vertices, directed=directed, undirected=dag.edges - directed), None)
+        for a, b in g.undirected:
+            assert not g.has_directed_path(a, b) and not g.has_directed_path(b, a)
+        left += len(g.undirected)
+    assert left > 100
 
 
 def test_dag_extension_forms_no_collider_from_sepsets():

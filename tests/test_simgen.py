@@ -193,11 +193,17 @@ def test_vertex_mismatch_rejected():
 
 
 def test_per_rep_truths_skip_roc(rng):
-    truths = [random_dag(4, rng, edge_prob=0.4) for _ in range(3)]
-    learned = [cpdag_with(t.vertices, list(t.skeleton_pairs())) for t in truths]
-    rep = evaluate_recovery(truths, learned)
-    assert rep.tpr == 1.0 and rep.tnr == 1.0
-    assert rep.roc is None and rep.auc is None
+    # A sequence of truths never gets a curve, even one of length one or one
+    # repeating a single graph object.
+    for truths in (
+        [random_dag(4, rng, edge_prob=0.4) for _ in range(3)],
+        [random_dag(4, rng, edge_prob=0.4)],
+        [random_dag(4, rng, edge_prob=0.4)] * 2,
+    ):
+        learned = [cpdag_with(t.vertices, list(t.skeleton_pairs())) for t in truths]
+        rep = evaluate_recovery(truths, learned)
+        assert rep.tpr == 1.0 and rep.tnr == 1.0
+        assert rep.roc is None and rep.auc is None
 
 
 def test_skeleton_rates_degenerate_conventions():

@@ -139,6 +139,17 @@ def test_forbidden_direction_never_produced():
     assert ("Z", "Y") in out.directed
 
 
+def test_edge_forbidden_both_ways_stays_undirected(caplog):
+    # R1 would orient Y->Z from the required X->Y, but the prior forbids
+    # both directions of Y-Z: the skip is logged and the edge kept.
+    g = undirected_graph("XYZ", [("X", "Y"), ("Y", "Z")])
+    pk = PriorKnowledge(required={("X", "Y")}, forbidden={("Y", "Z"), ("Z", "Y")})
+    with caplog.at_level("DEBUG", logger="causeweave.skeleton_orient"):
+        out = orient(g, pk)
+    assert out.directed == {("X", "Y")} and out.undirected == {("Y", "Z")}
+    assert "skip Y -> Z (unshielded X->Y): forbidden by prior knowledge" in caplog.messages
+
+
 def test_required_edge_oriented():
     g = undirected_graph("AB", [("A", "B")])
     pk = PriorKnowledge(required=frozenset({("B", "A")}))
@@ -435,11 +446,20 @@ def test_dot_round_trip(example1_engine):
     g = learn_structure(["X", "Y", "Z"], example1_engine, alpha=0.05)
     text = g.to_dot()
     assert '"X" -- "Z"' in text or '"Z" -- "X"' in text
-    back = cpdag_from_dot(text)
-    assert set(back.vertices) == set(g.vertices)
-    assert back.directed == g.directed
-    assert back.undirected == g.undirected
-    assert back.edge_significance == pytest.approx(g.edge_significance)
+    # Names that DOT must escape (" and \), and ones it need not.
+    quoted = Cpdag(
+        vertices=('Age "years"', "C:\\dir\\", "a -> b", 'x"--"y', "\\", "plain"),
+        directed={('Age "years"', "C:\\dir\\"), ("\\", "a -> b")},
+        undirected={("a -> b", 'x"--"y')},
+        edge_significance={pair_key('Age "years"', "C:\\dir\\"): 0.25},
+    )
+    assert '  "Age \\"years\\"" -> "C:\\\\dir\\\\" [pvalue=0.25];' in quoted.to_dot()
+    for g in (g, quoted):
+        back = cpdag_from_dot(g.to_dot())
+        assert set(back.vertices) == set(g.vertices)
+        assert back.directed == g.directed
+        assert back.undirected == g.undirected
+        assert back.edge_significance == pytest.approx(g.edge_significance)
 
 
 def test_prior_knowledge_json(tmp_path):
