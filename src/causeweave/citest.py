@@ -20,11 +20,11 @@ Four interchangeable backends produce ``CITestResult`` values for queries
 ``CIEngine`` wraps a backend with its own ``CICache`` so no statistical
 computation is repeated for the same canonical query, and offers a trace
 facility so callers can assert that a search never re-asks a query.
-``CIEngine.ask`` asks a round of canonical keys at once: the G-test,
-Fisher-z and auto backends answer its uncached keys in one ``compute_many``
-call, bitwise equal to one ``compute`` per key, while the oracle and
-injected backends are asked one by one.  A round of one is a ``test``.
-``CIEngine.p_values`` is ``canonical_key`` plus ``ask``.
+Every backend has one method, ``compute(keys)``, which answers a list of
+canonical keys in order; the G-test and Fisher-z answers are bitwise those
+of one call per key.  ``CIEngine.ask`` asks a round of canonical keys at
+once, its uncached keys in one ``compute`` call; a round of one is a
+``test``.  ``CIEngine.p_values`` is ``canonical_key`` plus ``ask``.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ class GTestBackend:
     same ``s``, so that one code of ``(*s, a)`` serves all of them.
 
     A batch's tables, of any shapes, are scored together in passes of at
-    most ``PASS_CELLS`` cells (a larger table alone); ``compute`` is a batch
-    of one.
+    most ``PASS_CELLS`` cells (a larger table alone).
     """
 
     name = BACKEND_GTEST
@@ -177,15 +176,10 @@ class GTestBackend:
         # The cell index of each row scan is built here, not allocated anew.
         self._flat = np.empty(data.n, np.intp)
 
-    def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        return self._scored([*self._tables([(x, y, tuple(s))]).values()])[0]
-
-    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
-        """``[compute(*key) for key in keys]``, bitwise, with no row scan
+    def compute(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """The test of each key, bitwise as if asked alone, with no row scan
         for a variable set the backend has counted and one scoring pass per
-        ``PASS_CELLS`` cells.  A single key goes through ``compute``."""
-        if len(keys) == 1:
-            return [self.compute(*keys[0])]
+        ``PASS_CELLS`` cells."""
         blocks = self._tables(keys)
         results: list[CITestResult] = []
         batch: list[np.ndarray] = []
@@ -340,8 +334,7 @@ class GTestBackend:
 class FisherZBackend:
     """Partial-correlation z-test; valid for all-continuous queries only.
     Queries of one conditioning-set size share one stacked ``pinv``, which
-    runs the same SVD and cutoff on each block as alone; ``compute`` is a
-    stack of one."""
+    runs the same SVD and cutoff on each block as alone."""
 
     name = BACKEND_FISHERZ
 
@@ -358,14 +351,9 @@ class FisherZBackend:
         np.fill_diagonal(corr, 1.0)
         self.corr = corr
 
-    def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        return self._stacked(len(s), [(x, y, s)])[0]
-
-    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
-        """``[compute(*key) for key in keys]``, bitwise, with one stacked
-        ``pinv`` per block size.  A single key goes through ``compute``."""
-        if len(keys) == 1:
-            return [self.compute(*keys[0])]
+    def compute(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """The test of each key, bitwise as if asked alone, with one stacked
+        ``pinv`` per block size."""
         by_size: dict[int, list[QueryKey]] = {}
         for key in keys:
             by_size.setdefault(len(key[2]), []).append(key)
@@ -421,20 +409,17 @@ class AutoBackend:
         self._fisherz: FisherZBackend | None = None
         self._continuous_names = frozenset(v.name for v in data.schema if not v.is_discrete)
 
-    def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        if self._continuous(x, y, s):
-            return self._z().compute(x, y, s)
-        return self._gtest.compute(x, y, s)
-
-    def compute_many(self, keys: list[QueryKey]) -> list[CITestResult]:
-        """``[compute(*key) for key in keys]``: the all-continuous keys in
-        one z-test batch, the rest in one G-test batch."""
+    def compute(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """The all-continuous keys in one z-test batch, the rest in one
+        G-test batch; a sub-backend is called only for a non-empty part."""
         tables, continuous = [], []
         for key in keys:
             (continuous if self._continuous(*key) else tables).append(key)
-        results = dict(zip(tables, self._gtest.compute_many(tables)))
+        results = {}
+        if tables:
+            results.update(zip(tables, self._gtest.compute(tables)))
         if continuous:
-            results.update(zip(continuous, self._z().compute_many(continuous)))
+            results.update(zip(continuous, self._z().compute(continuous)))
         return [results[key] for key in keys]
 
     def _continuous(self, x: str, y: str, s: tuple[str, ...]) -> bool:
@@ -572,14 +557,12 @@ class OracleBackend:
     def __init__(self, graph: OracleGraph):
         self.graph = graph
 
-    def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        separated = d_sep(self.graph, x, y, s)
-        return CITestResult(
-            p_value=1.0 if separated else 0.0,
-            statistic=0.0 if separated else math.inf,
-            dof=0,
-            backend=self.name,
-        )
+    def compute(self, keys: list[QueryKey]) -> list[CITestResult]:
+        return [
+            CITestResult(1.0, 0.0, 0, self.name) if d_sep(self.graph, x, y, s)
+            else CITestResult(0.0, math.inf, 0, self.name)
+            for x, y, s in keys
+        ]
 
 
 class InjectedBackend:
@@ -627,13 +610,13 @@ class InjectedBackend:
             names.update((a, b, *s))
         return tuple(sorted(names))
 
-    def compute(self, x: str, y: str, s: tuple[str, ...]) -> CITestResult:
-        key = canonical_key(x, y, s)
-        try:
-            p = self.table[key]
-        except KeyError:
-            raise UninjectedQuery(f"no injected p-value for {key!r}") from None
-        return CITestResult(p_value=p, statistic=0.0, dof=0, backend=self.name)
+    def compute(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """The injected result of each key; the first key with none raises
+        ``UninjectedQuery``."""
+        for key in keys:
+            if key not in self.table:
+                raise UninjectedQuery(f"no injected p-value for {key!r}")
+        return [CITestResult(self.table[key], 0.0, 0, self.name) for key in keys]
 
 
 class CIEngine:
@@ -652,14 +635,7 @@ class CIEngine:
         self._trace: list[QueryKey] | None = None
 
     def test(self, x: str, y: str, s=()) -> CITestResult:
-        key = canonical_key(x, y, s)
-        if self._trace is not None:
-            self._trace.append(key)
-        found, missing = self.cache.lookup_many([key])
-        if missing:
-            found[key] = self.backend.compute(*key)
-            self.cache.store(key, found[key])
-        return found[key]
+        return self._results([canonical_key(x, y, s)])[0]
 
     def p_values(self, x: str, queries) -> list[float]:
         """``[test(x, y, s).p_value for y, s in queries]``, asked as one round:
@@ -670,23 +646,25 @@ class CIEngine:
         """The p-values of ``keys``, which must be canonical already (as
         ``canonical_key`` returns them), asked as one round.
 
-        A round of one, or any round on a backend without ``compute_many``
-        (oracle, injected), is one ``test`` per key.  Otherwise the trace
-        entries and cache counts are those of the one-by-one calls, and the
-        uncached keys, which may belong to different pairs, go to one
-        ``backend.compute_many(keys)`` in query order.
+        A round of one is a ``test``.  Otherwise the trace entries and cache
+        counts are those of the one-by-one calls, and the uncached keys,
+        which may belong to different pairs, go to one
+        ``backend.compute(keys)`` in query order.
         """
-        compute_many = getattr(self.backend, "compute_many", None)
-        if compute_many is None or len(keys) == 1:
-            return [self.test(*key).p_value for key in keys]
+        if len(keys) == 1:
+            return [self.test(*keys[0]).p_value]
+        return [result.p_value for result in self._results(keys)]
+
+    def _results(self, keys: list[QueryKey]) -> list[CITestResult]:
+        """Trace and look up ``keys`` as one round, computing the uncached."""
         if self._trace is not None:
             self._trace.extend(keys)
         found, missing = self.cache.lookup_many(keys)
         if missing:
-            for key, result in zip(missing, compute_many(missing)):
+            for key, result in zip(missing, self.backend.compute(missing)):
                 self.cache.store(key, result)
                 found[key] = result
-        return [found[key].p_value for key in keys]
+        return [found[key] for key in keys]
 
     @contextmanager
     def trace(self):

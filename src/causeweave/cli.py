@@ -45,11 +45,10 @@ _GRAPH_FORMATS = {
 }
 
 
-def _add_ci(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                   help="test size (default %(default)s)")
-    p.add_argument("--m-ci", type=int, default=DEFAULT_MAX_COND, dest="m_ci",
-                   help="conditioning-set size cap (default %(default)s)")
+def _add_ci(p: argparse.ArgumentParser, default: str = "%(default)s") -> None:
+    p.add_argument("--alpha", type=float, help=f"test size (default {default})")
+    p.add_argument("--m-ci", type=int, dest="m_ci",
+                   help=f"conditioning-set size cap (default {default})")
 
 
 def _add_out(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="merge rare levels beyond the given coverage into one")
     _add_ci(p_learn)
     _add_out(p_learn, ("json", "dot"))
-    p_learn.set_defaults(run=cmd_learn)
+    p_learn.set_defaults(run=cmd_learn, alpha=DEFAULT_ALPHA, m_ci=DEFAULT_MAX_COND)
 
     # An option not given is left out, and the kind's config supplies its default.
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo recovery benchmark",
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--no-bic", action="store_false", dest="compute_bic",
                        help="skip criterion scoring (categorical)")
-    _add_ci(p_sim)
+    _add_ci(p_sim, "from the kind's config")
     p_sim.add_argument("--seed", type=int, help="master random seed")
     p_sim.add_argument("--threads", type=int, help="worker processes")
     _add_out(p_sim, ("json", "csv"))
@@ -141,6 +140,17 @@ def _check_declared(names) -> None:
         raise errors.SchemaError("schema declares no variables")
 
 
+def _restricted(prior: PriorKnowledge, names) -> PriorKnowledge:
+    """``prior`` without the tiers and pairs that name a vertex outside
+    ``names``."""
+    kept = set(names)
+    return PriorKnowledge(
+        tiers={v: tier for v, tier in prior.tiers.items() if v in kept},
+        forbidden=[pair for pair in prior.forbidden if kept.issuperset(pair)],
+        required=[pair for pair in prior.required if kept.issuperset(pair)],
+    )
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -168,7 +178,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if args.cap_levels is not None:
             data = cap_levels(data, coverage=args.cap_levels)
         if args.drop_dominant is not None:
-            data = filter_dominant(data, threshold=args.drop_dominant)
+            kept = filter_dominant(data, threshold=args.drop_dominant)
+            if not kept.names:
+                raise errors.InputError(f"--drop-dominant {args.drop_dominant} leaves no variable")
+            if prior:
+                prior.check(data.names)  # a name the schema lacks is refused
+                prior = _restricted(prior, kept.names)
+            data = kept
         backend = make_backend(data, args.backend)
         variables = list(data.names)
     engine = CIEngine(backend)

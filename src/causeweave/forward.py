@@ -23,8 +23,8 @@ extended; the maximal ones among them form the family, in that order.
 A whole level is asked in rounds: first every candidate's test given its
 set, then, round by round, the next leave-one-out test of every candidate
 that passed all of its earlier ones.  Each round is one
-``CIEngine.p_values`` call, so the batching backends answer it in one
-``compute_many``; a round of one is a ``CIEngine.test``.
+``CIEngine.p_values`` call, so the backend answers its uncached queries in
+one ``compute``; a round of one is a ``CIEngine.test``.
 """
 
 from __future__ import annotations

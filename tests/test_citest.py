@@ -379,7 +379,7 @@ def mixed_keys(rng, names, pairs, chains):
 
 @pytest.mark.parametrize("power", ["large", "low-power"])
 @pytest.mark.parametrize("backend_kind", ["gtest", "auto", "fisherz"])
-def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_kind):
+def test_a_batch_equals_its_keys_asked_alone_bitwise(rng, monkeypatch, power, backend_kind):
     # A table test is low-power at n < 5 * dof, a z-test only at
     # n - |s| - 3 <= 0: at 5 rows, for every subset of two or more.
     n = 3000 if power == "large" else 40 if backend_kind == "gtest" else 5
@@ -408,8 +408,8 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
         )])
     low_power = zero_dof = z_tests = 0
     for keys in batches:
-        got = backend.compute_many(keys)
-        expected = [backend.compute(*key) for key in keys]
+        got = backend.compute(keys)
+        expected = [backend.compute([key])[0] for key in keys]
         assert list(map(bits, got)) == list(map(bits, expected)), keys
         for key, result in zip(keys, got):
             if result.backend == "gtest":
@@ -426,12 +426,12 @@ def test_compute_many_equals_compute_bitwise(rng, monkeypatch, power, backend_ki
     assert any(stacks) == (backend_kind != "gtest")
     # A G-test stack of several tables ran.
     assert (max(tables, default=0) > 1) == (backend_kind != "fisherz")
-    assert backend.compute_many([]) == []
+    assert backend.compute([]) == []
     if backend_kind == "fisherz":
         # A discrete name, in a stack and in a block size of its own.
         for key in (("a", "u", ()), ("u", "w", ("k",))):
             with pytest.raises(MixedBackendUnsupported, match="'[ak]' is not"):
-                backend.compute_many([("t", "u", ()), ("t", "v", ("w",)), key, ("v", "w", ())])
+                backend.compute([("t", "u", ()), ("t", "v", ("w",)), key, ("v", "w", ())])
 
 
 def padded_cells(blocks) -> int:
@@ -464,7 +464,7 @@ def test_gtest_passes_split_at_the_cap(rng, monkeypatch):
     monkeypatch.setattr(
         GTestBackend, "_scored", lambda self, blocks: passes.append(blocks) or scored(self, blocks)
     )
-    got = backend.compute_many(keys)
+    got = backend.compute(keys)
     assert sum(map(len, passes)) == len(keys)
     assert padded_cells([b for blocks in passes for b in blocks]) > 2 * PASS_CELLS
     # Each pass holds at most PASS_CELLS cells, and the next table would not fit.
@@ -474,7 +474,7 @@ def test_gtest_passes_split_at_the_cap(rng, monkeypatch):
     assert all(len({b.shape for b in blocks}) > 1 for blocks in passes)
     for key, result in zip(keys, got):
         table = count_table(data, (key[0], key[1], *key[2]))
-        assert bits(result) == bits(reference_g_result(table, n)) == bits(backend.compute(*key))
+        assert bits(result) == bits(reference_g_result(table, n)) == bits(backend.compute([key])[0])
     empty = [r for k, r in zip(keys, got) if k[2] == ("b00", "dup")]
     assert all(r.dof == 2 for r in empty)  # two of the four strata hold rows
     assert [r.dof for k, r in zip(keys, got) if "one" in k] == [0, 0]
@@ -484,15 +484,15 @@ def test_gtest_lone_compute_sums_out_a_table_a_batch_counted(rng):
     n = 300
     data = edge_case_data(rng, n)
     backend = GTestBackend(data)
-    backend.compute_many([canonical_key("a", "b", ("c", "d")), canonical_key("a", "e")])
+    backend.compute([canonical_key("a", "b", ("c", "d")), canonical_key("a", "e")])
     with row_scans() as scans:
         # The same variable set as another pair, and subsets of it across pairs.
         for x, y, s in [("c", "d", ("a", "b")), ("a", "c", ("b", "d")), ("b", "d", ()),
                         ("a", "b", ("c",)), ("d", "b", ("a",))]:
             table = count_table(data, (x, y, *s))
-            assert bits(backend.compute(x, y, s)) == bits(reference_g_result(table, n))
+            assert bits(backend.compute([(x, y, s)])[0]) == bits(reference_g_result(table, n))
         assert scans == []
-        backend.compute("a", "b", ("e",))  # no stored table covers a, b and e
+        backend.compute([("a", "b", ("e",))])  # no stored table covers a, b and e
         assert len(scans) == 1
 
 
@@ -501,11 +501,11 @@ def test_an_unknown_name_raises_missing_column_alone_and_in_a_batch(rng, kind):
     backend = make_backend(edge_case_data(rng, 50), kind)
     for key in [("a", "nope", ()), ("nope", "u", ()), ("u", "w", ("nope",))]:
         with pytest.raises(MissingColumn, match="no variable named 'nope'"):
-            backend.compute(*key)
+            backend.compute([key])
         with pytest.raises(MissingColumn, match="no variable named 'nope'"):
-            backend.compute_many([("a", "b", ()), ("u", "w", ()), key])
+            backend.compute([("a", "b", ()), ("u", "w", ()), key])
     # A failed batch stores nothing: the same backend still answers.
-    assert backend.compute_many([("a", "b", ()), ("a", "c", ("b",))])[0].backend == "gtest"
+    assert backend.compute([("a", "b", ()), ("a", "c", ("b",))])[0].backend == "gtest"
 
 
 @st.composite
@@ -542,7 +542,7 @@ def test_gtest_store_answers_bitwise_as_a_fresh_count(case):
     asked = set()
     with row_scans() as scans:
         for lone, keys in steps:
-            got = [backend.compute(*key) for key in keys] if lone else backend.compute_many(keys)
+            got = [backend.compute([key])[0] for key in keys] if lone else backend.compute(keys)
             for (x, y, s), result in zip(keys, got):
                 table = count_table(data, (x, y, *s))
                 assert bits(result) == bits(reference_g_result(table, data.n)), (x, y, s)
@@ -551,8 +551,8 @@ def test_gtest_store_answers_bitwise_as_a_fresh_count(case):
         # Every variable set asked is stored now: asking again scans no row.
         before = len(scans)
         keys = [key for _, step in steps for key in step]
-        backend.compute_many(keys)
-        backend.compute(*keys[-1])
+        backend.compute(keys)
+        backend.compute(keys[-1:])
         assert len(scans) == before
 
 
@@ -584,22 +584,21 @@ def test_p_values_matches_one_by_one_tests(rng):
         batched.p_values("a", [("a", ())])
 
 
-def test_p_values_loops_over_a_backend_without_compute_many():
+def test_an_injected_round_raises_at_its_first_uninjected_key_and_stores_none():
     engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
-    assert not hasattr(engine.backend, "compute_many")
     assert engine.p_values("Y", [("X", ()), ("X", ("Z",))]) == [0.01, 0.30]
-    # The first uninjected query raises, after the ones before it are stored.
+    stored = dict(engine.cache._store)
+    # ("Y", "Z", ()) is injected, but its round fails at the key given W.
     with pytest.raises(UninjectedQuery, match="'W'"):
         engine.p_values("Y", [("Z", ()), ("Z", ("W",)), ("Z", ("V",))])
-    assert ("Y", "Z", ()) in engine.cache._store
+    assert engine.cache._store == stored
+    assert engine.p_values("Y", [("Z", ())]) == [engine.backend.table[("Y", "Z", ())]]
 
 
 @pytest.mark.parametrize("kind", ["auto", "gtest", "injected"])
 def test_a_round_of_one_is_a_test_and_a_wider_round_is_not(rng, monkeypatch, kind):
-    """A one-query ``p_values`` or ``ask`` enters ``CIEngine.test``, as
-    ``compute_many`` sends a lone key to ``compute``; a wider round on a
-    backend with ``compute_many`` does not, and a backend without it is
-    asked one ``test`` per key."""
+    """A one-query ``p_values`` or ``ask`` enters ``CIEngine.test``; a wider
+    round, on any backend, does not."""
     if kind == "injected":
         engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
         one, wide = ("X", "Y", ()), [("X", "Y", ("Z",)), ("X", "Z", ()), ("Y", "Z", ())]
@@ -617,5 +616,5 @@ def test_a_round_of_one_is_a_test_and_a_wider_round_is_not(rng, monkeypatch, kin
     entered.clear()
     got = engine.ask(wide)
     assert got == [test(engine, *key).p_value for key in wide]
-    assert entered == (wide if kind == "injected" else [])
+    assert entered == []
     assert engine.ask([]) == []

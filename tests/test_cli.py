@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -23,9 +25,13 @@ from causeweave import (
     maximize,
 )
 from causeweave.citest import canonical_key, make_backend
+from causeweave import cli
 from causeweave.cli import main
+from causeweave.experiments import CategoricalSimConfig, ContinuousSimConfig
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import cache_dump, decode, full_scan_q_value, ptable_entries, random_ptable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_injected(path, entries):
@@ -144,6 +150,47 @@ def test_learn_drop_dominant_flag(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["nv"] == 1  # dominated variable removed
+
+
+def test_learn_drop_dominant_with_a_prior_naming_a_dropped_variable(tmp_path, capsys):
+    """A prior may name a variable ``--drop-dominant`` removes: the learn
+    uses the prior's other tiers and pairs.  A name outside the schema is
+    still refused."""
+    rng = np.random.default_rng(2)
+    n = 600
+    a = (rng.random(n) < 0.1).astype(int)  # 0 in about 90% of the rows
+    b = rng.integers(0, 2, n)
+    c = np.where(rng.random(n) < 0.8, b, 1 - b)
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,c\n" + "".join(f"{x},{y},{z}\n" for x, y, z in zip(a, b, c)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": v, **BINARY} for v in "abc"]))
+    outputs = {}
+    for name, prior in {
+        "full": {"tiers": {"a": 0, "b": 0, "c": 1}, "required": [["a", "c"]],
+                 "forbidden": [["c", "a"], ["c", "b"]]},
+        "kept": {"tiers": {"b": 0, "c": 1}, "forbidden": [["c", "b"]]},
+    }.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(prior))
+        out = tmp_path / name
+        code, stdout, _ = run(
+            capsys, "learn", "--data", str(data), "--schema", str(schema),
+            "--drop-dominant", "0.8", "--prior", str(tmp_path / f"{name}.json"),
+            "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        outputs[name] = (stdout.replace(name, ""), out.read_bytes())
+    assert outputs["full"] == outputs["kept"]
+    assert json.loads(outputs["kept"][1])["directed"] == [["b", "c"]]
+    (tmp_path / "typo.json").write_text(json.dumps({"tiers": {"a": 0, "bb": 0, "c": 1}}))
+    out = tmp_path / "typo"
+    code, stdout, stderr = run(
+        capsys, "learn", "--data", str(data), "--schema", str(schema),
+        "--drop-dominant", "0.8", "--prior", str(tmp_path / "typo.json"),
+        "--out", str(out), "--format", "json",
+    )
+    assert_input_error(code, stdout, stderr, "UnknownVertex", out)
+    assert "['bb']" in json.loads(stderr)["error"]["message"]
 
 
 def test_learn_cap_levels_flag(tmp_path, capsys):
@@ -298,6 +345,45 @@ def test_simulate_continuous_worker_count_does_not_change_bytes(
         assert code == 0
         outs.append(Path(out + ".json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [("categorical", CategoricalSimConfig), ("continuous", ContinuousSimConfig)],
+    ids=["categorical", "continuous"],
+)
+def test_simulate_takes_every_default_from_the_kind_config(
+    tmp_path, capsys, monkeypatch, kind, config
+):
+    """The ``config`` echo of a run given only ``--kind`` is the config's
+    defaults (the experiment itself is not run)."""
+    seen = []
+    monkeypatch.setattr(cli, f"run_{kind}_experiment", lambda cfg: seen.append(cfg) or {})
+    out = str(tmp_path / "sim")
+    assert run(capsys, "simulate", "--kind", kind, "--out", out)[0] == 0
+    assert seen == [config()]
+    defaults = dataclasses.asdict(config())
+    del defaults["threads"]
+    if "compute_bic" in defaults:
+        defaults["bic"] = defaults.pop("compute_bic")
+    assert json.loads(Path(out + ".json").read_text())["config"] == {"kind": kind, **defaults}
+
+
+def test_readme_option_table_matches_the_parser():
+    rows = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            command, options = line.strip("|").split("|")
+            rows[command.strip().strip("`")] = {
+                word for word in options.strip().strip("`").split() if word.startswith("--")
+            }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert rows == {
+        name: {o for a in sub._actions if not isinstance(a, argparse._HelpAction)
+               for o in a.option_strings if o.startswith("--")}
+        for name, sub in commands.choices.items()
+    }
 
 
 def test_simulate_continuous_writes_report(tmp_path, capsys):
@@ -708,19 +794,28 @@ def test_input_file_with_a_byte_order_mark_reads_as_the_plain_file(
     assert outcomes[1] == outcomes[0]
 
 
-@pytest.mark.parametrize("backend", ["auto", "injected"])
+@pytest.mark.parametrize("backend", ["auto", "injected", "drop-dominant"])
 def test_learn_empty_schema_exits_2(tmp_path, capsys, example1_file, backend):
     # `score` with an empty schema exits 2 on the first graph vertex the data
     # lacks (test_score_graph_vertex_missing_from_the_data_exits_2).
     schema = tmp_path / "schema.json"
     schema.write_text("[]")
     data = example1_file if backend == "injected" else str(write_ab_data(tmp_path))
+    options = ["--backend", backend]
+    if backend == "drop-dominant":
+        # Both variables of a declared schema are dominated, so none is left.
+        schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
+        Path(data).write_text("a,b\n0,0\n0,0\n0,0\n0,1\n")
+        options = ["--drop-dominant", "0.5"]
     out = tmp_path / "graph.json"
     code, stdout, stderr = run(
-        capsys, "learn", "--data", data, "--backend", backend, "--schema", str(schema),
+        capsys, "learn", "--data", data, *options, "--schema", str(schema),
         "--out", str(out), "--format", "json",
     )
-    assert_input_error(code, stdout, stderr, "SchemaError", out)
+    error_type = "InputError" if backend == "drop-dominant" else "SchemaError"
+    assert_input_error(code, stdout, stderr, error_type, out)
+    if backend == "drop-dominant":
+        assert "--drop-dominant 0.5" in json.loads(stderr)["error"]["message"]
 
 
 def test_learn_empty_injected_results_exit_2(tmp_path, capsys):

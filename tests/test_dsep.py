@@ -111,9 +111,9 @@ def test_dsep_matches_path_enumeration(rng):
 
 
 def test_oracle_ci_values():
-    assert OracleBackend(CHAIN).compute("X", "Y", ("Z",)).p_value == 1.0
-    assert OracleBackend(COLLIDER).compute("X", "Y", ()).p_value == 1.0
-    assert OracleBackend(COLLIDER).compute("X", "Y", ("Z",)).p_value == 0.0
+    assert OracleBackend(CHAIN).compute([("X", "Y", ("Z",))])[0].p_value == 1.0
+    assert OracleBackend(COLLIDER).compute([("X", "Y", ())])[0].p_value == 1.0
+    assert OracleBackend(COLLIDER).compute([("X", "Y", ("Z",))])[0].p_value == 0.0
 
 
 def test_oracle_graphoid_implication(rng):

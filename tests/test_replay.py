@@ -244,13 +244,13 @@ def test_wide_fisherz_replay_stacks_fifty_and_more(monkeypatch):
 
 def test_gtest_replay_mixes_shapes_and_splits_passes(monkeypatch):
     calls, inside = [], []
-    compute_many, scored = GTestBackend.compute_many, GTestBackend._scored
+    compute, scored = GTestBackend.compute, GTestBackend._scored
 
-    def spy_many(self, keys):
+    def spy_compute(self, keys):
         calls.append([])
         inside.append(True)
         try:
-            return compute_many(self, keys)
+            return compute(self, keys)
         finally:
             inside.pop()
 
@@ -259,7 +259,7 @@ def test_gtest_replay_mixes_shapes_and_splits_passes(monkeypatch):
             calls[-1].append([block.shape for block in blocks])
         return scored(self, blocks)
 
-    monkeypatch.setattr(GTestBackend, "compute_many", spy_many)
+    monkeypatch.setattr(GTestBackend, "compute", spy_compute)
     monkeypatch.setattr(GTestBackend, "_scored", spy_scored)
     batched, reference, graph, expected = replay("gtest-levels", 4)
     assert_replayed(batched, reference, graph, expected)

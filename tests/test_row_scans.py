@@ -39,13 +39,11 @@ def write_survey(tmp_path):
 
 
 def use_reference_gtest(monkeypatch) -> None:
-    def compute(self, x, y, s):
-        return reference_g_result(count_table(self.data, (x, y, *s)), self.data.n)
+    def compute(self, keys):
+        n = self.data.n
+        return [reference_g_result(count_table(self.data, (x, y, *s)), n) for x, y, s in keys]
 
     monkeypatch.setattr(GTestBackend, "compute", compute)
-    monkeypatch.setattr(
-        GTestBackend, "compute_many", lambda self, keys: [compute(self, *key) for key in keys]
-    )
 
 
 def survey_learn(tmp_path, files, name) -> bytes:
