@@ -4,10 +4,12 @@ Two-step neighborhood discovery (forward candidate enumeration + minimax
 selection), orientation by prior knowledge, colliders, a directed-path rule
 and Meek's R1 (no R3 or R4), an order-independent PC-style baseline,
 decomposable-criterion scoring, and a Monte-Carlo benchmark harness.
+
+The root exports the library API that README lists; the search's own
+steps stay importable from their modules.
 """
 
 from .citest import (
-    CICache,
     CIEngine,
     CITestResult,
     FisherZBackend,
@@ -15,7 +17,6 @@ from .citest import (
     InjectedBackend,
     OracleBackend,
     OracleGraph,
-    d_sep,
     make_backend,
 )
 from .dataset import (
@@ -32,10 +33,8 @@ from .experiments import (
     run_categorical_experiment,
     run_continuous_experiment,
 )
-from .forward import NeighborhoodFamily, forward_step
-from .maximize import NeighborSelection, SepComputer, maximization_step, q_value
-from .pcstable import pc_stable, pc_stable_skeleton
-from .score import FitReport, bic_of_graph, dag_extension, fit_local
+from .pcstable import pc_stable
+from .score import FitReport, bic_of_graph
 from .simgen import (
     LinearSemSpec,
     SimReport,
@@ -43,16 +42,6 @@ from .simgen import (
     gen_linear_sem,
     make_discrete_net,
 )
-from .skeleton_orient import (
-    Cpdag,
-    PriorKnowledge,
-    SeparationRecord,
-    build_skeleton,
-    compute_sepsets,
-    cpdag_from_dot,
-    edge_significance,
-    learn_structure,
-    orient,
-)
+from .skeleton_orient import Cpdag, PriorKnowledge, cpdag_from_dot, learn_structure
 
 __version__ = "0.1.0"

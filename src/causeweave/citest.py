@@ -24,7 +24,7 @@ Every backend has one method, ``compute(keys)``, which answers a list of
 canonical keys in order; the G-test and Fisher-z answers are bitwise those
 of one call per key.  ``CIEngine.ask`` asks a round of canonical keys at
 once, its uncached keys in one ``compute`` call; a round of one is a
-``test``.  ``CIEngine.p_values`` is ``canonical_key`` plus ``ask``.
+``test``.
 """
 
 from __future__ import annotations
@@ -636,11 +636,6 @@ class CIEngine:
 
     def test(self, x: str, y: str, s=()) -> CITestResult:
         return self._results([canonical_key(x, y, s)])[0]
-
-    def p_values(self, x: str, queries) -> list[float]:
-        """``[test(x, y, s).p_value for y, s in queries]``, asked as one round:
-        every query is checked and canonicalized first, then ``ask``-ed."""
-        return self.ask([canonical_key(x, y, s) for y, s in queries])
 
     def ask(self, keys: list[QueryKey]) -> list[float]:
         """The p-values of ``keys``, which must be canonical already (as

@@ -22,16 +22,16 @@ extended; the maximal ones among them form the family, in that order.
 
 A whole level is asked in rounds: first every candidate's test given its
 set, then, round by round, the next leave-one-out test of every candidate
-that passed all of its earlier ones.  Each round is one
-``CIEngine.p_values`` call, so the backend answers its uncached queries in
-one ``compute``; a round of one is a ``CIEngine.test``.
+that passed all of its earlier ones.  Each round is one ``CIEngine.ask``
+of the queries' canonical keys, so the backend answers its uncached queries
+in one ``compute``; a round of one is a ``CIEngine.test``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, check_settings
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, canonical_key, check_settings
 from .errors import BudgetExceeded
 
 # Candidate sets one search may expand before it raises ``BudgetExceeded``.
@@ -110,7 +110,7 @@ class ForwardSearch:
                     (t, s) if d == 0 else (s[d - 1], s[: d - 1] + s[d:] + (t,))
                     for s, t in alive
                 ]
-                p_values = self.engine.p_values(self.target, queries)
+                p_values = self.engine.ask([canonical_key(self.target, y, c) for y, c in queries])
                 alive = [c for c, p in zip(alive, p_values) if p <= self.alpha]
             accepted: dict[tuple[str, ...], list[str]] = {s: [] for s in level}
             for s, t in alive:

@@ -4,11 +4,12 @@ Edges are tested level by level against conditioning sets drawn from
 adjacency sets frozen at the start of each level, and deletions are applied
 only once the level completes, so the result does not depend on variable
 order.  Each edge asks the union of both endpoints' size-L subsets as one
-sorted set, in one ``CIEngine.p_values`` round, so no query is asked
-twice.  For every deleted edge the separating set found at the deleting
-level is recorded as the ``maximize.best_record`` of all its tests there
-(the largest p-value, then the smallest set: the rule selection uses),
-which also keeps the stored sepsets order-free.
+sorted set, in one ``CIEngine.ask`` round, so no query is asked twice; its
+keys are canonical as built (``x < y``, and each set is sorted and drawn
+without ``x`` or ``y``).  For every deleted edge the separating set found at
+the deleting level is recorded as the ``maximize.best_record`` of all its
+tests there (the largest p-value, then the smallest set: the rule selection
+uses), which also keeps the stored sepsets order-free.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def pc_stable_skeleton(
             conds = sorted({c for pool in pools for c in combinations(sorted(pool), level)})
             if not conds:
                 continue
-            best = best_record(engine.p_values(x, [(y, c) for c in conds]), conds)
+            best = best_record(engine.ask([(x, y, c) for c in conds]), conds)
             if best.p_value > alpha:
                 removals[(x, y)] = best
         for (x, y), record in removals.items():

@@ -15,6 +15,7 @@ summarizes edge discovery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class LinearSemSpec:
             raise ValueError("need at least two variables")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"edge probability must be in (0, 1), got {self.rho}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.n < 1:
             raise ValueError("need at least one sample")
 

@@ -141,6 +141,18 @@ _JSON_FIELD = {
 }
 
 
+def _by_pair(rows, what: str) -> dict:
+    """``{pair_key(a, b): value}`` of ``(a, b, value)`` rows; raises
+    ``ValueError`` for a pair given twice, in either order."""
+    out = {}
+    for a, b, value in rows:
+        key = pair_key(a, b)
+        if key in out:
+            raise ValueError(f"{what} gives the pair {key!r} twice")
+        out[key] = value
+    return out
+
+
 @dataclass
 class Cpdag:
     """Mixed graph: directed and undirected edges over a fixed vertex set.
@@ -262,7 +274,8 @@ class Cpdag:
         document is an object with a ``vertices`` array of names, no other
         keys than ``to_json`` writes, and rows of the shape it writes: names
         where names go, a number for a p-value and an array of names (never a
-        bare string) for a witness."""
+        bare string) for a witness, and at most one significance row and one
+        sepset row per pair."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or not _JSON_FIELD["names"](obj.get("vertices")):
             raise ValueError("graph JSON must be an object with a vertices array of names")
@@ -281,18 +294,20 @@ class Cpdag:
             vertices=tuple(obj["vertices"]),
             directed={(a, b) for a, b in obj.get("directed", [])},
             undirected={(a, b) for a, b in obj.get("undirected", [])},
-            edge_significance={
-                pair_key(a, b): float(p) for a, b, p in obj.get("significance", [])
-            },
-            sepsets={
-                pair_key(a, b): SeparationRecord(p_value=float(p), witness=tuple(w))
-                for a, b, w, p in obj.get("sepsets", [])
-            },
+            edge_significance=_by_pair(
+                ((a, b, float(p)) for a, b, p in obj.get("significance", [])),
+                "graph significance",
+            ),
+            sepsets=_by_pair(
+                ((a, b, SeparationRecord(p_value=float(p), witness=tuple(w)))
+                 for a, b, w, p in obj.get("sepsets", [])),
+                "graph sepsets",
+            ),
         )
 
     def to_dot(self) -> str:
-        """DOT text; a name is quoted, with ``\\`` and ``"`` escaped."""
-        q = {v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in self.vertices}
+        """DOT text; a name is quoted, with ``\\``, ``"``, LF and CR escaped."""
+        q = {v: '"' + v.translate(_DOT_ESCAPES) + '"' for v in self.vertices}
         lines = ["digraph learned {"]
         for v in self.vertices:
             lines.append(f"  {q[v]};")
@@ -308,7 +323,9 @@ class Cpdag:
         return f" [pvalue={p!r}]" if p is not None else ""
 
 
-_DOT_NAME = r'"((?:[^"\\]|\\.)+)"'  # a quoted name; \\ and \" are escapes
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+_DOT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
+_DOT_NAME = r'"((?:[^"\\]|\\.)+)"'  # a quoted name; see _DOT_ESCAPES
 _DOT_EDGE = re.compile(
     rf"^\s*{_DOT_NAME}\s*(->|--)\s*{_DOT_NAME}\s*(?:\[pvalue=([^\]]+)\])?\s*;\s*$"
 )
@@ -316,22 +333,18 @@ _DOT_VERTEX = re.compile(rf"^\s*{_DOT_NAME}\s*;\s*$")
 
 
 def _dot_unquote(name: str) -> str:
-    """Undo ``to_dot``'s escapes; any other backslash is kept as it is."""
-    return re.sub(r'\\([\\"])', r"\1", name)
+    """Undo ``to_dot``'s escapes in one pass; any other backslash is kept
+    as it is."""
+    return re.sub(r'\\([\\"nr])', lambda m: _DOT_UNESCAPES[m.group(1)], name)
 
 
 def cpdag_from_dot(text: str) -> Cpdag:
-    """Parse the DOT dialect emitted by :meth:`Cpdag.to_dot`."""
-    vertices: list[str] = []
-    directed: set[Pair] = set()
-    undirected: set[Pair] = set()
-    significance: dict[Pair, float] = {}
-
-    def note(v: str) -> None:
-        if v not in vertices:
-            vertices.append(v)
-
-    for line in text.splitlines():
+    """Parse the DOT dialect emitted by :meth:`Cpdag.to_dot`.  Raises
+    ``ValueError`` for a line of another form or for two edge lines of one
+    pair, in either order."""
+    vertices: dict[str, None] = {}  # in order of first mention
+    edges: list[tuple[str, str, tuple[str, float | None]]] = []
+    for line in re.split(r"\r\n?|\n", text):  # not splitlines: a name may hold \x85
         line = line.strip()
         if not line or line.startswith(("digraph", "graph", "}")):
             continue
@@ -339,25 +352,20 @@ def cpdag_from_dot(text: str) -> Cpdag:
         if m:
             a, op, b, p = m.groups()
             a, b = _dot_unquote(a), _dot_unquote(b)
-            note(a)
-            note(b)
-            if op == "->":
-                directed.add((a, b))
-            else:
-                undirected.add(pair_key(a, b))
-            if p is not None:
-                significance[pair_key(a, b)] = float(p)
+            vertices.update(dict.fromkeys((a, b)))
+            edges.append((a, b, (op, None if p is None else float(p))))
             continue
         m = _DOT_VERTEX.match(line)
         if m:
-            note(_dot_unquote(m.group(1)))
+            vertices[_dot_unquote(m.group(1))] = None
             continue
         raise ValueError(f"unparseable DOT line: {line!r}")
+    by_pair = _by_pair(edges, "DOT")
     return Cpdag(
         vertices=tuple(vertices),
-        directed=directed,
-        undirected=undirected,
-        edge_significance=significance,
+        directed={(a, b) for a, b, (op, _) in edges if op == "->"},
+        undirected={pair for pair, (op, _) in by_pair.items() if op == "--"},
+        edge_significance={pair: p for pair, (_, p) in by_pair.items() if p is not None},
     )
 
 

@@ -27,9 +27,7 @@ from causeweave import (
     InjectedBackend,
     OracleBackend,
     bic_of_graph,
-    forward_step,
     learn_structure,
-    maximization_step,
     pc_stable,
 )
 from causeweave.cli import main as cli_main
@@ -42,8 +40,8 @@ from causeweave.experiments import (
     run_categorical_experiment,
     run_continuous_experiment,
 )
-from causeweave.forward import ForwardSearch
-from causeweave.maximize import SepComputer
+from causeweave.forward import ForwardSearch, forward_step
+from causeweave.maximize import SepComputer, maximization_step
 from causeweave.score import fit_local
 from causeweave.skeleton_orient import Cpdag
 from conftest import EXAMPLE1_ENTRIES

@@ -257,7 +257,7 @@ def reference_p_value(res) -> float:
 def assert_p_values_match_reference(engine, log):
     assert log
     for key in set(log):
-        res = engine.cache._store[key]
+        res = engine.test(*key)  # cached: the stored result
         assert res.p_value.hex() == reference_p_value(res).hex(), key
 
 
@@ -556,7 +556,7 @@ def test_gtest_store_answers_bitwise_as_a_fresh_count(case):
         assert len(scans) == before
 
 
-def test_p_values_matches_one_by_one_tests(rng):
+def test_a_round_of_canonical_keys_matches_one_by_one_tests(rng):
     data = edge_case_data(rng, 500)
     batches = [
         ("a", [("b", ()), ("b", ("c",)), ("b", ("c", "d")), ("b", ("d", "c")), ("b", ("c",)),
@@ -572,33 +572,33 @@ def test_p_values_matches_one_by_one_tests(rng):
     single = CIEngine(make_backend(data, "auto"))
     with batched.trace() as batched_log, single.trace() as single_log:
         for x, queries in batches:
-            got = batched.p_values(x, queries)
+            got = batched.ask([canonical_key(x, y, s) for y, s in queries])
             assert got == [single.test(x, y, s).p_value for y, s in queries]
     assert batched_log == single_log
-    assert list(batched.cache._store) == list(single.cache._store)
+    assert list(cache_dump(batched).items()) == list(cache_dump(single).items())
     assert (batched.cache.hits, batched.cache.misses) == (single.cache.hits, single.cache.misses)
     assert batched.cache.hits == 5
     with pytest.raises(ValueError, match="contains a query variable"):
-        batched.p_values("a", [("b", ("c",)), ("b", ("a",))])
+        batched.ask([canonical_key("a", y, s) for y, s in [("b", ("c",)), ("b", ("a",))]])
     with pytest.raises(ValueError, match="must differ"):
-        batched.p_values("a", [("a", ())])
+        batched.ask([canonical_key("a", "a", ())])
 
 
 def test_an_injected_round_raises_at_its_first_uninjected_key_and_stores_none():
     engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
-    assert engine.p_values("Y", [("X", ()), ("X", ("Z",))]) == [0.01, 0.30]
-    stored = dict(engine.cache._store)
+    assert engine.ask([("X", "Y", ()), ("X", "Y", ("Z",))]) == [0.01, 0.30]
+    stored = cache_dump(engine)
     # ("Y", "Z", ()) is injected, but its round fails at the key given W.
     with pytest.raises(UninjectedQuery, match="'W'"):
-        engine.p_values("Y", [("Z", ()), ("Z", ("W",)), ("Z", ("V",))])
-    assert engine.cache._store == stored
-    assert engine.p_values("Y", [("Z", ())]) == [engine.backend.table[("Y", "Z", ())]]
+        engine.ask([("Y", "Z", ()), ("Y", "Z", ("W",)), ("Y", "Z", ("V",))])
+    assert cache_dump(engine) == stored
+    assert engine.ask([("Y", "Z", ())]) == [engine.backend.table[("Y", "Z", ())]]
 
 
 @pytest.mark.parametrize("kind", ["auto", "gtest", "injected"])
 def test_a_round_of_one_is_a_test_and_a_wider_round_is_not(rng, monkeypatch, kind):
-    """A one-query ``p_values`` or ``ask`` enters ``CIEngine.test``; a wider
-    round, on any backend, does not."""
+    """A one-key ``ask`` enters ``CIEngine.test``; a wider round, on any
+    backend, does not."""
     if kind == "injected":
         engine = CIEngine(InjectedBackend.from_entries(EXAMPLE1_ENTRIES))
         one, wide = ("X", "Y", ()), [("X", "Y", ("Z",)), ("X", "Z", ()), ("Y", "Z", ())]
@@ -610,8 +610,7 @@ def test_a_round_of_one_is_a_test_and_a_wider_round_is_not(rng, monkeypatch, kin
     monkeypatch.setattr(
         CIEngine, "test", lambda self, *query: entered.append(query) or test(self, *query)
     )
-    x, y, s = one
-    assert engine.p_values(x, [(y, s)]) == engine.ask([one])
+    assert engine.ask([one]) == [engine.test(*one).p_value]
     assert entered == [one, one]
     entered.clear()
     got = engine.ask(wide)

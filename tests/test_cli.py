@@ -18,16 +18,16 @@ from causeweave import (
     InjectedBackend,
     cap_levels,
     errors,
-    forward_step,
     learn_structure,
     load_csv,
-    maximization_step,
     maximize,
 )
 from causeweave.citest import canonical_key, make_backend
 from causeweave import cli
 from causeweave.cli import main
 from causeweave.experiments import CategoricalSimConfig, ContinuousSimConfig
+from causeweave.forward import forward_step
+from causeweave.maximize import maximization_step
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import cache_dump, decode, full_scan_q_value, ptable_entries, random_ptable
 
@@ -275,6 +275,18 @@ def test_simulate_no_samples_exits_2(capsys, kind):
     assert code == 2 and stdout == ""
     assert json.loads(stderr) == {
         "error": {"type": "ValueError", "message": "need at least one sample"}
+    }
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_simulate_non_finite_theta_exits_2(capsys, theta):
+    code, stdout, stderr = run(
+        capsys, "simulate", "--kind", "continuous", "--k", "6", "--rho", "0.5",
+        "--theta", theta, "--n", "50", "--reps", "2",
+    )
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": {"type": "ValueError", "message": f"theta must be finite, got {theta}"}
     }
 
 
@@ -892,16 +904,42 @@ def test_learn_bad_injected_file_exits_2(tmp_path, capsys, doc):
         {"vertices": ["a", "b"], "directed": ["ab"]},
         {"vertices": ["a", "b"], "undirected": [["a", "b"]], "significance": [["a", "b"]]},
         {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        # One pair given twice, in either order: no row may silently win.
+        {"vertices": ["a", "b"], "undirected": [["a", "b"]],
+         "significance": [["a", "b", 0.01], ["b", "a", 0.5]]},
+        {"vertices": ["a", "b"], "sepsets": [["a", "b", [], 0.2], ["b", "a", [], 0.9]]},
     ],
     ids=[
         "array", "no-vertices", "vertices-string", "witness-string", "edge-string",
-        "short-significance", "unknown-key",
+        "short-significance", "unknown-key", "significance-twice", "sepset-twice",
     ],
 )
 @pytest.mark.parametrize("command", ["export", "score"])
 def test_malformed_graph_json_exits_2(tmp_path, capsys, doc, command):
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps(doc))
+    assert_graph_file_refused(tmp_path, capsys, "g.json", json.dumps(doc), command)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ['"a" -> "b" [pvalue=0.01];', '"a" -> "b" [pvalue=0.5];'],
+        ['"a" -- "b";', '"b" -- "a";'],
+        ['"a" -> "b";', '"a" -- "b" [pvalue=0.5];'],
+        ['"a" -- "b\n";'],
+    ],
+    ids=["edge-twice", "edge-reversed", "directed-and-undirected", "raw-newline-in-name"],
+)
+@pytest.mark.parametrize("command", ["export", "score"])
+def test_malformed_graph_dot_exits_2(tmp_path, capsys, edges, command):
+    text = "\n".join(["digraph learned {", '  "a";', '  "b";', *edges, "}"]) + "\n"
+    assert_graph_file_refused(tmp_path, capsys, "g.dot", text, command)
+
+
+def assert_graph_file_refused(tmp_path, capsys, name, text, command) -> str:
+    """Run ``command`` on a graph file ``name`` holding ``text``: it must exit
+    2 with a ``ValueError`` and write nothing.  Returns its stderr."""
+    graph = tmp_path / name
+    graph.write_text(text)
     out = tmp_path / "out.json"
     argv = [command, str(graph), "--out", str(out)]
     if command == "score":
@@ -910,6 +948,7 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys, doc, command):
         argv += ["--data", str(write_ab_data(tmp_path)), "--schema", str(schema)]
     code, stdout, stderr = run(capsys, *argv)
     assert_input_error(code, stdout, stderr, "ValueError", out)
+    return stderr
 
 
 @pytest.mark.parametrize(
@@ -929,18 +968,8 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys, doc, command):
 )
 @pytest.mark.parametrize("command", ["export", "score"])
 def test_graph_json_with_bad_sepset_exits_2(tmp_path, capsys, sepsets, undirected, command):
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps(
-        {"vertices": ["a", "b"], "undirected": undirected, "sepsets": sepsets}
-    ))
-    out = tmp_path / "out.json"
-    argv = [command, str(graph), "--out", str(out)]
-    if command == "score":
-        schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps([{"name": v, **BINARY} for v in "ab"]))
-        argv += ["--data", str(write_ab_data(tmp_path)), "--schema", str(schema)]
-    code, stdout, stderr = run(capsys, *argv)
-    assert_input_error(code, stdout, stderr, "ValueError", out)
+    doc = {"vertices": ["a", "b"], "undirected": undirected, "sepsets": sepsets}
+    stderr = assert_graph_file_refused(tmp_path, capsys, "g.json", json.dumps(doc), command)
     assert "sepset" in json.loads(stderr)["error"]["message"]
 
 

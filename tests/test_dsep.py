@@ -1,8 +1,8 @@
 import networkx as nx
 import pytest
 
-from causeweave import CIEngine, OracleBackend, OracleGraph, d_sep
-from causeweave.citest import topological_order
+from causeweave import CIEngine, OracleBackend, OracleGraph
+from causeweave.citest import d_sep, topological_order
 from causeweave.errors import UnknownVertex
 from causeweave.simgen import make_discrete_net
 from causeweave.skeleton_orient import Cpdag

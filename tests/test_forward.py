@@ -8,11 +8,10 @@ from causeweave import (
     InjectedBackend,
     OracleBackend,
     OracleGraph,
-    forward_step,
 )
 from causeweave.cli import main
 from causeweave.errors import BudgetExceeded
-from causeweave.forward import ForwardSearch
+from causeweave.forward import ForwardSearch, forward_step
 from oracle_helpers import (
     all_admissible_sets,
     definitional_extensions,

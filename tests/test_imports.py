@@ -4,11 +4,14 @@ and no package module imports another package module's private name.
 A deletion or a moved helper that leaves its imports behind fails here.
 The package's ``__init__.py`` re-exports names for callers, so it is exempt
 from the first check.  Tests may import private names on purpose, so the
-second check reads the package only.
+second check reads the package only.  The names it re-exports are exactly
+those README's "Library API" section lists.
 """
 
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import causeweave
 
@@ -83,3 +86,15 @@ def test_private_import_is_reported():
 def test_unused_import_is_reported():
     source = "import os\nimport sys\nfrom math import inf, pi\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == ["os (line 1)", "inf (line 3)"]
+
+
+def test_the_root_exports_exactly_the_readme_library_api():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", section)
+    assert len(listed) == len(set(listed))
+    exported = {
+        name for name, value in vars(causeweave).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(listed) == exported

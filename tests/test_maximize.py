@@ -10,14 +10,11 @@ from causeweave import (
     InjectedBackend,
     OracleBackend,
     OracleGraph,
-    forward_step,
-    maximization_step,
-    q_value,
 )
 from causeweave.citest import canonical_key
 from causeweave.errors import EmptyFamily
-from causeweave.forward import NeighborhoodFamily
-from causeweave.maximize import SepComputer, best_record
+from causeweave.forward import NeighborhoodFamily, forward_step
+from causeweave.maximize import SepComputer, best_record, maximization_step, q_value
 from oracle_helpers import (
     exhaustive_q,
     exhaustive_sep,

@@ -4,8 +4,8 @@ from causeweave import (
     OracleBackend,
     learn_structure,
     pc_stable,
-    pc_stable_skeleton,
 )
+from causeweave.pcstable import pc_stable_skeleton
 from conftest import EXAMPLE1_ENTRIES
 from oracle_helpers import ptable_entries, random_dag, random_ptable
 

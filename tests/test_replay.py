@@ -2,14 +2,13 @@
 and the bounded selection scan against the full scan.
 
 A full ``learn_structure`` runs twice on fixed seeds and equal backends,
-once on a ``CIEngine`` and once on a reference engine whose ``ask`` (so
-also its ``p_values``) is the one-by-one loop over ``test``, with the
-forward step testing one set, and one candidate, at a time
-(``plain_extensions``) and selection scoring one other variable at a time
-(``plain_q_value``).  The forward step alone is replayed the same way, so
-that its memo and family are compared too.  The two engine caches must hold
-the same queries with bitwise-equal results and equal hit and miss counts,
-and the two graphs must serialize alike.
+once on a ``CIEngine`` and once on a reference engine whose ``ask`` is
+the one-by-one loop over ``test``, with the forward step testing one set,
+and one candidate, at a time (``plain_extensions``) and selection scoring
+one other variable at a time (``plain_q_value``).  The forward step alone
+is replayed the same way, so that its memo and family are compared too.
+The two engine caches must hold the same queries with bitwise-equal results
+and equal hit and miss counts, and the two graphs must serialize alike.
 
 The bounded ``q_value`` skips every non-member whose marginal p-value is at
 or above the first score; the full scan it replaced
@@ -277,9 +276,9 @@ def test_gtest_replay_mixes_shapes_and_splits_passes(monkeypatch):
 def test_gtest_replay_with_fewer_rows_than_dof():
     batched, reference, graph, expected = replay("gtest-small", 1)
     assert_replayed(batched, reference, graph, expected)
-    results = list(batched.cache._store.values())
-    assert any(r.dof > 30 for r in results)
-    assert all(r.low_power == (30 < 5 * r.dof) for r in results)
+    results = cache_dump(batched).values()
+    assert any(dof > 30 for _, _, dof, _ in results)
+    assert all(low_power == (30 < 5 * dof) for _, _, dof, low_power in results)
 
 
 def test_injected_replay_stops_where_the_plain_scan_stops():
@@ -306,9 +305,9 @@ def test_batched_queries_replay_with_prior_and_pc_stable():
 
 def test_replay_helper_catches_one_ulp():
     batched, reference, _, _ = replay("gtest", 0)
-    key, result = next(
-        (k, r) for k, r in sorted(reference.cache._store.items()) if r.statistic > 0
-    )
+    key = next(k for k, (_, stat, _, _) in sorted(cache_dump(reference).items())
+               if float.fromhex(stat) > 0)
+    result = reference.test(*key)  # cached: the stored result
     moved = np.nextafter(result.statistic, np.inf)
     reference.cache.store(key, dataclasses.replace(result, statistic=moved))
     with pytest.raises(AssertionError, match="1 cache entries differ"):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, bic_of_graph, fit_local, make_backend
+from causeweave import CIEngine, bic_of_graph, make_backend
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.errors import MissingColumn
-from causeweave.score import dag_extension
+from causeweave.score import dag_extension, fit_local
 from causeweave.skeleton_orient import Cpdag, SeparationRecord, orient
 from oracle_helpers import random_dag
 

@@ -212,6 +212,24 @@ def test_skeleton_rates_degenerate_conventions():
     assert tpr == 1.0 and tnr == 1.0
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"k": 1}, r"^need at least two variables$"),
+        ({"rho": 0.0}, r"^edge probability must be in \(0, 1\), got 0.0$"),
+        ({"rho": 1.0}, r"^edge probability must be in \(0, 1\), got 1.0$"),
+        ({"theta": float("nan")}, r"^theta must be finite, got nan$"),
+        ({"theta": float("inf")}, r"^theta must be finite, got inf$"),
+        ({"theta": -float("inf")}, r"^theta must be finite, got -inf$"),
+        ({"n": 0}, r"^need at least one sample$"),
+    ],
+    ids=str,
+)
+def test_linear_sem_spec_refuses_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        LinearSemSpec(**{"k": 4, "rho": 0.5, "theta": 0.5, "n": 10, **settings})
+
+
 def test_discrete_net_refuses_negative_max_parents():
     with pytest.raises(ValueError, match=r"^max_parents must be >= 0, got -1$"):
         make_discrete_net(k=3, max_parents=-1, levels=2, seed=0)

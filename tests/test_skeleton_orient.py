@@ -1,27 +1,20 @@
 import pytest
 
-from causeweave import (
-    CIEngine,
-    InjectedBackend,
-    OracleBackend,
-    build_skeleton,
-    compute_sepsets,
-    edge_significance,
-    forward_step,
-    learn_structure,
-    maximization_step,
-    orient,
-    pc_stable,
-    pc_stable_skeleton,
-)
+from causeweave import CIEngine, InjectedBackend, OracleBackend, learn_structure, pc_stable
+from causeweave.dataset import read_input
 from causeweave.errors import PriorKnowledgeCycle, UnknownVertex
-from causeweave.forward import NeighborhoodFamily
-from causeweave.maximize import NeighborSelection, SepComputer
+from causeweave.forward import NeighborhoodFamily, forward_step
+from causeweave.maximize import NeighborSelection, SepComputer, maximization_step
+from causeweave.pcstable import pc_stable_skeleton
 from causeweave.skeleton_orient import (
     Cpdag,
     PriorKnowledge,
     SeparationRecord,
+    build_skeleton,
+    compute_sepsets,
     cpdag_from_dot,
+    edge_significance,
+    orient,
     pair_key,
 )
 from oracle_helpers import (
@@ -442,21 +435,29 @@ def test_json_round_trip(example1_engine):
     assert back.sepsets == g.sepsets
 
 
-def test_dot_round_trip(example1_engine):
+def test_dot_round_trip(example1_engine, tmp_path):
     g = learn_structure(["X", "Y", "Z"], example1_engine, alpha=0.05)
     text = g.to_dot()
     assert '"X" -- "Z"' in text or '"Z" -- "X"' in text
-    # Names that DOT must escape (" and \), and ones it need not.
+    # Names that DOT must escape (", \, LF and CR), and ones it need not: a
+    # literal backslash before n, and characters other than LF and CR that
+    # str.splitlines would end a line at.
     quoted = Cpdag(
-        vertices=('Age "years"', "C:\\dir\\", "a -> b", 'x"--"y', "\\", "plain"),
-        directed={('Age "years"', "C:\\dir\\"), ("\\", "a -> b")},
-        undirected={("a -> b", 'x"--"y')},
+        vertices=('Age "years"', "C:\\dir\\", "a -> b", 'x"--"y', "\\", "plain",
+                  "two\nlines", "cr\r", "\\n", "sep\u2028\x85\x0c"),
+        directed={('Age "years"', "C:\\dir\\"), ("\\", "a -> b"), ("two\nlines", "cr\r")},
+        undirected={("a -> b", 'x"--"y'), ("\\n", "sep\u2028\x85\x0c")},
         edge_significance={pair_key('Age "years"', "C:\\dir\\"): 0.25},
     )
     assert '  "Age \\"years\\"" -> "C:\\\\dir\\\\" [pvalue=0.25];' in quoted.to_dot()
+    assert '  "two\\nlines" -> "cr\\r";' in quoted.to_dot()
+    assert '  "\\\\n";' in quoted.to_dot()
     for g in (g, quoted):
-        back = cpdag_from_dot(g.to_dot())
-        assert set(back.vertices) == set(g.vertices)
+        # Read back as an input file is: with its line ends made LF.
+        path = tmp_path / "g.dot"
+        path.write_text(g.to_dot(), encoding="utf-8")
+        back = cpdag_from_dot(read_input(path))
+        assert back.vertices == g.vertices
         assert back.directed == g.directed
         assert back.undirected == g.undirected
         assert back.edge_significance == pytest.approx(g.edge_significance)
