@@ -45,10 +45,6 @@ class BudgetExceeded(CauseweaveError):
     """The candidate-set search expanded more sets than the configured cap."""
 
 
-class EmptyFamily(CauseweaveError):
-    """Neighborhood selection was invoked on an empty candidate family."""
-
-
 class PriorKnowledgeCycle(InputError):
     """Required edges and tier constraints are jointly cyclic."""
 

@@ -23,15 +23,16 @@ extended; the maximal ones among them form the family, in that order.
 A whole level is asked in rounds: first every candidate's test given its
 set, then, round by round, the next leave-one-out test of every candidate
 that passed all of its earlier ones.  Each round is one ``CIEngine.ask``
-of the queries' canonical keys, so the backend answers its uncached queries
-in one ``compute``; a round of one is a ``CIEngine.test``.
+of the queries' keys, built canonical, so the backend answers its uncached
+queries in one ``compute``; a round of one is a ``CIEngine.test``.  The
+learner has checked the variables and settings; the search does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, canonical_key, check_settings
+from .citest import DEFAULT_ALPHA, DEFAULT_MAX_COND, CIEngine, pair_key
 from .errors import BudgetExceeded
 
 # Candidate sets one search may expand before it raises ``BudgetExceeded``.
@@ -64,10 +65,6 @@ class ForwardSearch:
         alpha: float = DEFAULT_ALPHA,
         m_ci: int = DEFAULT_MAX_COND,
     ):
-        variables = list(variables)
-        if target not in variables:
-            raise ValueError(f"target {target!r} not among variables")
-        check_settings(alpha, m_ci)
         self.target = target
         self.engine = engine
         self.alpha = alpha
@@ -110,7 +107,9 @@ class ForwardSearch:
                     (t, s) if d == 0 else (s[d - 1], s[: d - 1] + s[d:] + (t,))
                     for s, t in alive
                 ]
-                p_values = self.engine.ask([canonical_key(self.target, y, c) for y, c in queries])
+                p_values = self.engine.ask(
+                    [(*pair_key(self.target, y), tuple(sorted(c))) for y, c in queries]
+                )
                 alive = [c for c, p in zip(alive, p_values) if p <= self.alpha]
             accepted: dict[tuple[str, ...], list[str]] = {s: [] for s in level}
             for s, t in alive:

@@ -20,7 +20,9 @@ The winner's scores against every other variable are
 kept with the selection; the skeleton reads its p-values and separating
 sets from them without testing again.  ``best_record`` is the one rule that
 picks a separating set, here, for the sepsets and in PC-stable: the largest
-p-value, then the smallest witness.
+p-value, then the smallest witness.  Arguments are taken as
+``learn_structure`` builds them (sets free of the pair, a forward step's
+family, never empty) and are not checked again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .citest import DEFAULT_MAX_COND, CIEngine, pair_key
-from .errors import EmptyFamily
 from .forward import NeighborhoodFamily
 
 Witness = tuple[str, ...]
@@ -122,10 +123,6 @@ class SepComputer:
         order; ``subsets`` are the sorted subsets of the sorted ``n``."""
         keys, slots = [], []
         for other in others:
-            if other == self.anchor or other in n or self.anchor in n:
-                raise ValueError(
-                    f"separation query must keep {self.anchor!r}/{other!r} outside {n!r}"
-                )
             memo = self._p.setdefault(other, {})
             x, y = pair_key(self.anchor, other)
             for sub in subsets:
@@ -153,11 +150,7 @@ def q_value(
     the bound are cut into runs that each end at such a variable, and each
     run is scored as one batch.
     """
-    x = computer.anchor
-    n = frozenset(n)
-    if x in n or not n <= set(variables):
-        raise ValueError(f"candidate set {sorted(n)!r} invalid for target {x!r}")
-    others = sorted(set(variables) - n - {x})
+    others = sorted(set(variables) - set(n) - {computer.anchor})
     if not others:
         return math.inf
     marginals = computer.marginals(others)
@@ -193,8 +186,6 @@ def maximization_step(
     selection records the winner's score against every other variable: the
     non-members share one conditioning set and are asked as one batch.
     """
-    if not family.family:
-        raise EmptyFamily(f"no candidate neighborhoods for {x!r}")
     ordered = sorted(family.family, key=lambda c: (len(c), tuple(sorted(c))))
     computer = SepComputer(x, engine, m_ci=m_ci)
     chosen: tuple[str, ...] | None = None

@@ -14,13 +14,13 @@ ordinary least squares on their parent encodings.  The criterion is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, joint_codes
 from .errors import MissingColumn
-from .skeleton_orient import Cpdag, orient
+from .skeleton_orient import Cpdag, PriorKnowledge, propagate
 
 # Relative floor on residual variance; keeps perfect fits finite.
 _RSS_FLOOR = 1e-15
@@ -109,18 +109,21 @@ def fit_local(data: Dataset, x: str, parents) -> LocalFit:
 def dag_extension(g: Cpdag) -> Cpdag:
     """A fully directed graph consistent with the mixed input.
 
-    Propagation rules run first, on a copy without the input's sepsets so
-    no collider is added; while undirected edges remain, the smallest one is
-    committed in a cycle-free direction and propagation reruns.
-    Deterministic and always acyclic.
+    ``skeleton_orient.propagate`` runs, with no prior, on one copy of the
+    input without its sepsets; while undirected edges remain, the smallest
+    one is committed as ordered and propagation reruns.  Deterministic and
+    always acyclic.
     """
-    work = orient(replace(g, sepsets={}), None)
+    work = Cpdag(g.vertices, set(g.directed), set(g.undirected), dict(g.edge_significance))
+    empty = PriorKnowledge()
+    propagate(work, empty)
     while work.undirected:
-        # ``orient`` left no undirected edge along a directed path: no cycle.
+        # ``propagate`` left no undirected edge along a directed path: no cycle.
         edge = min(work.undirected)
         work.undirected.remove(edge)
         work.directed.add(edge)
-        work = orient(work, None)
+        propagate(work, empty)
+    work.validate()
     return work
 
 

@@ -215,7 +215,8 @@ def roc_curve(
     """Threshold the edge frequencies at every cutoff and integrate.
 
     Points run from the empty graph (cutoff above every frequency) to the
-    complete graph (cutoff zero).  Equal false rates collapse to their best
+    complete graph (cutoff zero), whose point is (1, 1) even when the truth
+    has no non-edge.  Equal false rates collapse to their best
     true rate before trapezoidal integration over the false rate.
     """
     n_true = len(truth)
@@ -233,7 +234,7 @@ def roc_curve(
     cuts = sorted({f for f in freq.values() if f > 0.0}, reverse=True)
     points = [(0.0, 0.0) if n_true else (0.0, 1.0)]
     points += [rates(c) for c in cuts]
-    points.append(rates(0.0))
+    points.append((1.0, 1.0))
 
     best: dict[float, float] = {}
     for fpr, tpr in points:

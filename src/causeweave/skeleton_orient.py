@@ -330,6 +330,7 @@ _DOT_EDGE = re.compile(
     rf"^\s*{_DOT_NAME}\s*(->|--)\s*{_DOT_NAME}\s*(?:\[pvalue=([^\]]+)\])?\s*;\s*$"
 )
 _DOT_VERTEX = re.compile(rf"^\s*{_DOT_NAME}\s*;\s*$")
+_DOT_HEADER = re.compile(r"^(?:di)?graph(?:\s+\w+)?\s*\{$")
 
 
 def _dot_unquote(name: str) -> str:
@@ -339,14 +340,15 @@ def _dot_unquote(name: str) -> str:
 
 
 def cpdag_from_dot(text: str) -> Cpdag:
-    """Parse the DOT dialect emitted by :meth:`Cpdag.to_dot`.  Raises
-    ``ValueError`` for a line of another form or for two edge lines of one
-    pair, in either order."""
+    """Parse the DOT dialect emitted by :meth:`Cpdag.to_dot`: a header line
+    ``digraph NAME {`` or ``graph NAME {`` (the name optional), one vertex or
+    edge per line, and a line ``}``.  Raises ``ValueError`` for a line of
+    another form or for two edge lines of one pair, in either order."""
     vertices: dict[str, None] = {}  # in order of first mention
     edges: list[tuple[str, str, tuple[str, float | None]]] = []
     for line in re.split(r"\r\n?|\n", text):  # not splitlines: a name may hold \x85
         line = line.strip()
-        if not line or line.startswith(("digraph", "graph", "}")):
+        if not line or line == "}" or _DOT_HEADER.match(line):
             continue
         m = _DOT_EDGE.match(line)
         if m:
@@ -430,18 +432,36 @@ def _commit(g: Cpdag, a: str, b: str, pk: PriorKnowledge, why: str) -> bool:
     return True
 
 
+def propagate(g: Cpdag, pk: PriorKnowledge) -> None:
+    """Apply stage 3's two rules to ``g`` in place, to a fixed point; with an
+    empty ``pk``, an acyclic ``g`` keeps no undirected edge along a directed path."""
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(g.undirected):
+            if g.has_directed_path(a, b):
+                changed |= _commit(g, a, b, pk, "directed path")
+            elif g.has_directed_path(b, a):
+                changed |= _commit(g, b, a, pk, "directed path")
+        for key in sorted(g.undirected):
+            for z, y in (key, key[::-1]):
+                x = next((p for p in sorted(g.parents(z)) if p != y and not g.has_edge(p, y)), None)
+                if x is not None and _commit(g, z, y, pk, f"unshielded {x}->{z}"):
+                    changed = True
+                    break
+
+
 def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
     """Orient a copy of ``graph`` into a partially directed acyclic graph.
 
     Stages: prior knowledge, then colliders read from ``graph.sepsets``
     (globally resolved by descending separating p-value; a collider
     contradicting prior knowledge or an already-committed opposite arrow is
-    dropped), then the two propagation rules to a fixed point.  Skeleton
-    edges are never added or removed, only directed.  A prior that names a
-    vertex the graph does not have raises ``UnknownVertex``.
+    dropped), then :func:`propagate`.  Skeleton edges are never added or
+    removed, only directed.  ``pk`` must name only vertices of the graph, as
+    the learners check before their first CI test.
     """
     pk = pk if pk is not None else PriorKnowledge()
-    pk.check(graph.vertices)
     g = graph.copy()
 
     for a, b in sorted(g.undirected):
@@ -479,21 +499,7 @@ def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
         for u, v in todo:
             _commit(g, u, v, pk, f"collider p={p_value}")
 
-    changed = True
-    while changed:
-        changed = False
-        for a, b in sorted(g.undirected):
-            if g.has_directed_path(a, b):
-                changed |= _commit(g, a, b, pk, "directed path")
-            elif g.has_directed_path(b, a):
-                changed |= _commit(g, b, a, pk, "directed path")
-        for key in sorted(g.undirected):
-            for z, y in (key, key[::-1]):
-                x = next((p for p in sorted(g.parents(z)) if p != y and not g.has_edge(p, y)), None)
-                if x is not None and _commit(g, z, y, pk, f"unshielded {x}->{z}"):
-                    changed = True
-                    break
-
+    propagate(g, pk)
     g.validate()
     return g
 
@@ -503,13 +509,13 @@ def orient(graph: Cpdag, pk: PriorKnowledge | None) -> Cpdag:
 
 def checked_variables(variables, prior: PriorKnowledge | None) -> list[str]:
     """``variables`` as a list; raises ``ValueError`` for a name given twice,
-    and as ``PriorKnowledge.check_consistent`` and ``check`` do for ``prior``."""
+    and ``UnknownVertex`` when ``prior`` names another vertex (its
+    consistency was checked at construction)."""
     variables = list(variables)
     if len(set(variables)) != len(variables):
         repeated = sorted({v for v in variables if variables.count(v) > 1})
         raise ValueError(f"variables named more than once: {repeated!r}")
     if prior is not None:
-        prior.check_consistent()  # again: refuse one altered since construction
         prior.check(variables)
     return variables
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain, combinations
 from unittest import mock
 
@@ -25,6 +26,7 @@ from causeweave.citest import (
     OracleGraph,
 )
 from causeweave.dataset import QUINTILE_BINS
+from causeweave.skeleton_orient import orient
 
 
 def all_subsets(items, max_size=None):
@@ -328,6 +330,20 @@ def full_scan_q_value(computer, n, variables, floor=-math.inf):
             q = min(q, record.p_value)
         start = end
     return q
+
+
+def reference_dag_extension(g):
+    """``score.dag_extension`` one edge at a time: ``orient`` with no prior
+    on a copy of ``g`` without its sepsets, then, while an undirected edge
+    is left, the smallest one committed as it is ordered and the whole
+    ``orient`` run again on the result."""
+    work = orient(replace(g, sepsets={}), None)
+    while work.undirected:
+        edge = min(work.undirected)
+        work.undirected.remove(edge)
+        work.directed.add(edge)
+        work = orient(work, None)
+    return work
 
 
 def cache_dump(engine) -> dict:

@@ -935,6 +935,21 @@ def test_malformed_graph_dot_exits_2(tmp_path, capsys, edges, command):
     assert_graph_file_refused(tmp_path, capsys, "g.dot", text, command)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        'digraph g { "a" -> "b"; }\n',
+        'digraph learned {\n  "a";\n  "b";\n} trailing junk "c" -> "d";\n',
+    ],
+    ids=["one-line-graph", "junk-after-brace"],
+)
+@pytest.mark.parametrize("command", ["export", "score"])
+def test_dot_line_after_a_header_or_brace_exits_2(tmp_path, capsys, text, command):
+    # Only a bare header line and a bare "}" are skipped; anything they
+    # carry would otherwise vanish from the graph without a word.
+    assert_graph_file_refused(tmp_path, capsys, "g.dot", text, command)
+
+
 def assert_graph_file_refused(tmp_path, capsys, name, text, command) -> str:
     """Run ``command`` on a graph file ``name`` holding ``text``: it must exit
     2 with a ``ValueError`` and write nothing.  Returns its stderr."""

@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from causeweave import CIEngine, bic_of_graph, make_backend
+from causeweave import (
+    CIEngine,
+    OracleBackend,
+    PriorKnowledge,
+    bic_of_graph,
+    learn_structure,
+    make_backend,
+    pc_stable,
+)
 from causeweave.dataset import VariableSchema, from_raw
 from causeweave.errors import MissingColumn
 from causeweave.score import dag_extension, fit_local
 from causeweave.skeleton_orient import Cpdag, SeparationRecord, orient
-from oracle_helpers import random_dag
+from causeweave.simgen import make_discrete_net
+from oracle_helpers import random_dag, reference_dag_extension
 
 
 def binary_counts_data(counts):
@@ -189,6 +198,45 @@ def test_dag_extension_forms_no_collider_from_sepsets():
     )
     assert dag_extension(chain).directed == {("X", "Z"), ("Z", "Y")}
     assert chain.sepsets and chain.undirected == {("X", "Z"), ("Y", "Z")}
+
+
+def learned_graphs():
+    """Both learners' graphs, without and with a tier prior, on random oracle
+    DAGs and on two samples of the categorical benchmark's size (k = 20
+    binary variables, n = 500)."""
+    rng = np.random.default_rng(33)
+    cases = []
+    for _ in range(6):
+        dag = random_dag(int(rng.integers(5, 10)), rng, edge_prob=0.4, max_degree=3)
+        cases.append((list(dag.vertices), OracleBackend(dag), {}))
+    for seed in (1, 2):
+        data = make_discrete_net(20, 3, 2, seed=[seed, 0]).sample(500, seed=[seed, 1])
+        cases.append((list(data.names), make_backend(data), {"alpha": 0.05, "m_ci": 3}))
+    for variables, backend, settings in cases:
+        tiers = PriorKnowledge(tiers={v: i // 4 for i, v in enumerate(variables)})
+        for learner in (learn_structure, pc_stable):
+            for prior in (None, tiers):
+                yield learner(variables, CIEngine(backend), prior=prior, **settings)
+
+
+def test_dag_extension_equals_the_per_edge_reference_on_learned_graphs():
+    graphs = list(learned_graphs())
+    assert sum(len(g.undirected) for g in graphs) > 50
+    for g in graphs:
+        assert dag_extension(g).to_json() == reference_dag_extension(g).to_json()
+
+
+def test_dag_extension_equals_the_per_edge_reference_on_random_graphs(rng):
+    for _ in range(300):
+        dag = random_dag(int(rng.integers(3, 10)), rng, edge_prob=0.4)
+        directed = {e for e in sorted(dag.edges) if rng.random() < 0.4}
+        g = Cpdag(
+            dag.vertices,
+            directed=directed,
+            undirected=dag.edges - directed,
+            edge_significance={tuple(sorted(e)): float(rng.random()) for e in sorted(dag.edges)},
+        )
+        assert dag_extension(g).to_json() == reference_dag_extension(g).to_json()
 
 
 def test_mixed_parent_regression(rng):

@@ -151,6 +151,23 @@ def test_hand_built_three_rep_report():
     assert rep.auc == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize(
+    "learned, roc, auc",
+    [
+        ([[("a", "b")], [("a", "b")]], ((0.0, 1.0), (1.0, 1.0)), 1.0),
+        ([[], []], ((0.0, 0.0), (1.0, 1.0)), 0.5),
+    ],
+    ids=["perfect", "never-found"],
+)
+def test_complete_truth_curve_ends_at_the_complete_graph(learned, roc, auc):
+    # A complete truth has no non-edge: the complete graph's point is still
+    # (1, 1), so a perfect learner scores 1.0 and a blind one 0.5.
+    truth = OracleGraph(vertices=("a", "b"), edges=frozenset({("a", "b")}))
+    rep = evaluate_recovery(truth, [cpdag_with("ab", pairs) for pairs in learned])
+    assert rep.roc == roc
+    assert rep.auc == auc
+
+
 def test_roc_endpoints_and_tie_collapse():
     truth = {("a", "b")}
     pairs = [("a", "b"), ("a", "c"), ("b", "c")]
